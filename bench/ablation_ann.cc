@@ -7,7 +7,8 @@
 // mirror scans 8-byte codes instead of 256-byte rows before the exact
 // rescore. This bench sweeps nprobe across catalog sizes and reports
 // the recall-vs-latency frontier against the exact serial scan:
-//  * exact   — kPlaneSerial, the recall-1.0 baseline;
+//  * exact   — kExact (no scan pool, so one shard), the recall-1.0
+//              baseline;
 //  * ivf     — probe + exact rescore of every probed row;
 //  * ivf_pq  — probe + ADC shortlist + exact rescore of the shortlist.
 // Every ANN row also reports recall@10 against the exact top-10 (the
@@ -174,12 +175,12 @@ void Run() {
     std::vector<TopKResult> truth(num_users + 1);
     Histogram exact_lat;
     for (uint64_t uid = 1; uid <= num_users; ++uid) {
-      auto warm = serving.service->TopKAll(uid, kTopK, nullptr, Mode::kPlaneSerial);
+      auto warm = serving.service->TopKAll(uid, kTopK, nullptr, Mode::kExact);
       VELOX_CHECK_OK(warm.status());
       truth[uid] = *warm;
       for (int t = 0; t < trials; ++t) {
         Stopwatch watch;
-        auto r = serving.service->TopKAll(uid, kTopK, nullptr, Mode::kPlaneSerial);
+        auto r = serving.service->TopKAll(uid, kTopK, nullptr, Mode::kExact);
         exact_lat.Record(watch.ElapsedMicros());
         VELOX_CHECK_OK(r.status());
       }

@@ -1,7 +1,7 @@
 // Ablation A6 — efficient full-catalog top-K.
 //
 // Paper §8 (future work): "more efficient top-K support for our linear
-// modeling tasks." Six paths over the same catalog:
+// modeling tasks." Five paths over the same catalog:
 //  * generic          — materialize the catalog as a candidate list and
 //                       run the generic topK (score everything through
 //                       the caches, rank everything);
@@ -10,18 +10,18 @@
 //                       single-accumulator dot and a bounded min-heap
 //                       (two dependent pointer loads per item, no
 //                       locality). This is the speedup baseline;
-//  * heap_scan_kernel — the retained kHeapScan mode: same map walk but
-//                       scoring through the shared unrolled kernel with
-//                       the deterministic (score, item_id) tie-break;
 //  * plane_double     — stream the contiguous ItemFactorPlane with the
 //                       blocked double ScoreRows kernel (mixed-precision
-//                       pre-filter disabled), single thread;
-//  * plane_serial     — the default plane scan: float-mirror pre-filter
+//                       pre-filter disabled) on a service without a scan
+//                       pool, so one shard;
+//  * plane_serial     — the default kExact scan (float-mirror pre-filter
 //                       with a conservative error bound, exact double
-//                       rescore of the surviving candidates, one thread;
-//  * plane_parallel   — the same scan sharded across a scan pool, with
-//                       the deterministic (score, item_id) heap merge.
-// A seventh row, batch_amortized, reports the per-user cost of
+//                       rescore of the surviving candidates) on a service
+//                       without a scan pool: one shard;
+//  * plane_parallel   — the same kExact scan on a pooled service, sharded
+//                       per PlannedScanShards with the deterministic
+//                       (score, item_id) heap merge.
+// A sixth row, batch_amortized, reports the per-user cost of
 // TopKAllBatch over 16 users (version/plane lookup paid once).
 //
 // Expected shape: all paths are linear in catalog size; the plane
@@ -102,9 +102,7 @@ Serving MakeServing(size_t d, size_t catalog, uint64_t seed) {
 // The pre-plane TopKAll, reproduced as shipped: walk the hash-map
 // factor table with a single-accumulator dot product and a bounded
 // min-heap of (score, id) pairs. This is the "current heap scan" the
-// speedup line is measured against; the service's kHeapScan mode keeps
-// the map walk but shares the unrolled kernel and deterministic
-// tie-break with the plane paths, so it is timed separately below.
+// speedup line is measured against.
 TopKResult LegacyHeapScan(const MaterializedFeatureFunction& fn,
                           const DenseVector& weights, size_t k) {
   using Entry = std::pair<double, uint64_t>;
@@ -146,10 +144,9 @@ void Run() {
       "Velox (CIDR'15) Section 8 'more efficient top-K support' (future work)",
       "d = 50. 'generic' materializes the catalog as a candidate list through\n"
       "topK (prediction cache disabled for fairness); 'heap_scan' is the\n"
-      "pre-plane scan as it shipped (hash-map walk, naive dot); 'heap_scan_\n"
-      "kernel' is the same walk through the shared unrolled kernel; 'plane_*'\n"
-      "stream the contiguous ItemFactorPlane (plane_parallel shards across a\n"
-      "4-thread scan pool).");
+      "pre-plane scan as it shipped (hash-map walk, naive dot); 'plane_*'\n"
+      "stream the contiguous ItemFactorPlane (plane_parallel on a service\n"
+      "with a 4-thread scan pool, the others on services without one).");
 
   const size_t d = 50;
   const size_t k = 10;
@@ -170,13 +167,17 @@ void Run() {
                                serving.prediction_cache.get(), FeatureResolver());
     // Pure-double plane scan (mixed-precision pre-filter disabled), to
     // separate the contiguous-layout win from the float-prefilter win.
+    // Neither this nor `serial` gets a scan pool: one shard each.
     PredictionServiceOptions exact_opts;
     exact_opts.topk_mixed_precision = false;
     PredictionService exact_plane(exact_opts, serving.registry.get(),
                                   serving.weights.get(), serving.bootstrapper.get(),
                                   serving.feature_cache.get(),
                                   serving.prediction_cache.get(), FeatureResolver());
-    exact_plane.SetScanPool(&scan_pool);
+    PredictionService serial(PredictionServiceOptions{}, serving.registry.get(),
+                             serving.weights.get(), serving.bootstrapper.get(),
+                             serving.feature_cache.get(), serving.prediction_cache.get(),
+                             FeatureResolver());
     std::vector<Item> all;
     all.reserve(catalog);
     for (uint64_t i = 0; i < catalog; ++i) {
@@ -191,8 +192,8 @@ void Run() {
     // interleaving would charge whichever scan runs second for
     // re-streaming the ~tens of MB the first one just evicted.
     const int trials = 30;
-    Histogram generic_lat, legacy_lat, heap_lat, plane_double_lat,
-        plane_serial_lat, plane_parallel_lat, batch_lat;
+    Histogram generic_lat, legacy_lat, plane_double_lat, plane_serial_lat,
+        plane_parallel_lat, batch_lat;
 
     // Reference result: every other path must match it exactly — same
     // items, same scores, same order (the generic path ranks by (score
@@ -235,21 +236,20 @@ void Run() {
       }
     }
 
-    auto run_mode = [&](PredictionService* svc, Mode mode, Histogram* lat) {
-      auto warm = svc->TopKAll(1, k, nullptr, mode);
+    auto run_exact = [&](PredictionService* svc, Histogram* lat) {
+      auto warm = svc->TopKAll(1, k, nullptr, Mode::kExact);
       VELOX_CHECK_OK(warm.status());
       for (int t = 0; t < trials; ++t) {
         Stopwatch watch;
-        auto r = svc->TopKAll(1, k, nullptr, mode);
+        auto r = svc->TopKAll(1, k, nullptr, Mode::kExact);
         lat->Record(watch.ElapsedMillis());
         VELOX_CHECK_OK(r.status());
         CheckSameResults(*reference, *r);
       }
     };
-    run_mode(serving.service.get(), Mode::kHeapScan, &heap_lat);
-    run_mode(&exact_plane, Mode::kPlaneSerial, &plane_double_lat);
-    run_mode(serving.service.get(), Mode::kPlaneSerial, &plane_serial_lat);
-    run_mode(serving.service.get(), Mode::kPlaneParallel, &plane_parallel_lat);
+    run_exact(&exact_plane, &plane_double_lat);
+    run_exact(&serial, &plane_serial_lat);
+    run_exact(serving.service.get(), &plane_parallel_lat);
 
     for (int t = 0; t < trials; ++t) {
       Stopwatch watch;
@@ -266,7 +266,6 @@ void Run() {
     };
     for (const PathRow& p :
          {PathRow{"generic", &generic_lat}, PathRow{"heap_scan", &legacy_lat},
-          PathRow{"heap_scan_kernel", &heap_lat},
           PathRow{"plane_double", &plane_double_lat},
           PathRow{"plane_serial", &plane_serial_lat},
           PathRow{"plane_parallel", &plane_parallel_lat},

@@ -191,7 +191,8 @@ BENCHMARK(BM_FactorCodecRoundTrip)->Arg(10)->Arg(100)->Arg(1000);
 // Server-plane dispatch overhead per request, singleton vs batched
 // (DESIGN.md §15): queue push/pop, batch formation, and callback
 // completion isolated from handler work by a no-op handler. Arg = the
-// dispatcher's batch_max; 1 is singleton dispatch. The plane's own
+// dispatcher's batch_max; 1 is singleton dispatch (every pop a batch of
+// one through the same handler). The plane's own
 // overhead is nanoseconds and stays flat across batch sizes — the row
 // pins that batching costs nothing at the queue layer; the wall-clock
 // win comes from what one batched *handler* call amortizes (WAL group
@@ -206,14 +207,11 @@ void BM_DispatchBatched(benchmark::State& state) {
   options.write_workers = 1;
   options.batch_max = batch;
   options.batch_delay_micros = 0;  // take only what is already queued
-  RequestDispatcher::Handler handler = [](const Request&) {
-    return FrontendResponse();
-  };
-  RequestDispatcher::BatchHandler batch_handler =
+  RequestDispatcher::BatchHandler handler =
       [](const std::vector<const Request*>& requests) {
         return std::vector<FrontendResponse>(requests.size());
       };
-  RequestDispatcher dispatcher(options, handler, batch_handler, nullptr);
+  RequestDispatcher dispatcher(options, handler, nullptr);
   const size_t kWave = 512;
   for (auto _ : state) {
     for (size_t i = 0; i < kWave; ++i) {

@@ -83,12 +83,11 @@ void VeloxFrontend::RecordOutcome(RequestType type,
 std::vector<FrontendResponse> VeloxFrontend::HandleBatch(
     const std::vector<const Request*>& batch) {
   std::vector<FrontendResponse> out(batch.size());
-  if (batch.empty()) return out;
 
-  // Phase 1: one coalesced feature resolve for the union of items the
-  // batch's reads will touch. Purely a warm — failures degrade
-  // per-request exactly as they would singleton.
-  std::vector<std::pair<uint64_t, Item>> reads;
+  // Every amortization below engages only when it has something to
+  // amortize across requests, so a batch of one executes exactly as
+  // Handle would: same responses, counters and stage samples.
+  size_t read_requests = 0;
   std::vector<size_t> observes;
   // Predict requests grouped by uid, in batch order, for PredictBatch
   // fusion below.
@@ -98,7 +97,7 @@ std::vector<FrontendResponse> VeloxFrontend::HandleBatch(
     switch (r.type) {
       case RequestType::kPredict:
         if (!r.items.empty()) {
-          reads.emplace_back(r.uid, BuildItem(r.items[0]));
+          ++read_requests;
           auto it = std::find_if(predict_groups.begin(), predict_groups.end(),
                                  [&](const auto& g) { return g.first == r.uid; });
           if (it == predict_groups.end()) {
@@ -113,18 +112,33 @@ std::vector<FrontendResponse> VeloxFrontend::HandleBatch(
         }
         break;
       case RequestType::kTopK:
-        for (uint64_t id : r.items) reads.emplace_back(r.uid, BuildItem(id));
+        ++read_requests;
         break;
       case RequestType::kObserve:
         observes.push_back(i);
         break;
     }
   }
-  if (reads.size() > 1) server_->WarmReadFeatures(reads);
 
-  // Phase 2: reads. Same-uid predicts fuse through PredictBatch (pinned
-  // bit-identical to per-item Predict); everything else runs the
-  // ordinary per-request path against the warmed caches.
+  // Phase 1: one coalesced feature resolve for the union of items the
+  // batch's reads will touch. Purely a warm — failures degrade
+  // per-request exactly as they would singleton. A lone read already
+  // resolves its own items in one coalesced fetch, so it skips this.
+  if (read_requests > 1) {
+    std::vector<std::pair<uint64_t, Item>> reads;
+    for (const Request* r : batch) {
+      if (r->type == RequestType::kObserve) continue;
+      for (uint64_t id : r->items) {
+        reads.emplace_back(r->uid, BuildItem(id));
+        if (r->type == RequestType::kPredict) break;  // predicts score items[0]
+      }
+    }
+    server_->WarmReadFeatures(reads);
+  }
+
+  // Phase 2: reads. Same-uid predicts fuse through PredictBatch;
+  // everything else runs the ordinary per-request path against the
+  // warmed caches.
   for (const auto& [uid, slots] : predict_groups) {
     if (slots.size() < 2) {
       out[slots[0]] = Handle(*batch[slots[0]]);
@@ -189,25 +203,6 @@ std::vector<FrontendResponse> VeloxFrontend::HandleBatch(
     }
   }
   return out;
-}
-
-Result<std::vector<TopKResult>> VeloxFrontend::HandleTopKAllBatch(
-    const std::vector<uint64_t>& uids) {
-  Stopwatch watch;
-  auto results = server_->TopKAllBatch(uids, options_.topk_k);
-  double elapsed = watch.ElapsedMicros();
-  size_t n = std::max<size_t>(1, uids.size());
-  requests_.fetch_add(uids.size(), std::memory_order_relaxed);
-  if (!results.ok()) {
-    errors_.fetch_add(uids.size(), std::memory_order_relaxed);
-  } else {
-    // Amortized per-user latency: the batch's point is that the shared
-    // version/plane work is paid once, which this records.
-    for (size_t i = 0; i < uids.size(); ++i) {
-      topk_latency_.Record(elapsed / static_cast<double>(n));
-    }
-  }
-  return results;
 }
 
 void VeloxFrontend::SubmitAsync(Request request,

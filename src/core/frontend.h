@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/velox_server.h"
 #include "data/workload.h"
@@ -51,31 +50,24 @@ class VeloxFrontend {
   // Executes one request synchronously on the calling thread.
   FrontendResponse Handle(const Request& request);
 
-  // Executes a cross-request batch (formed by the server plane's
-  // dispatcher) in one call, returning one response per request in
+  // Executes a batch popped by the server plane's dispatcher (one or
+  // more requests) in one call, returning one response per request in
   // input order. Responses are bit-identical (status / items / flags)
   // to calling Handle per request; the amortization is invisible to
-  // clients:
+  // clients, and each step engages only across two or more requests,
+  // so a batch of one is exactly Handle:
   //   * the union of items every read touches pre-resolves through one
   //     coalesced batch fetch per node (VeloxServer::WarmReadFeatures),
   //   * predicts from the same uid fuse into one PredictBatch call
-  //     (pinned bit-identical to per-item Predict; falls back to
-  //     per-request Handle on a whole-batch error so per-request error
-  //     isolation survives fusion),
+  //     (falls back to per-request Handle on a whole-batch error so
+  //     per-request error isolation survives fusion),
   //   * observes apply in order inside one WAL group-commit window per
   //     node (VeloxServer::ObserveBatch) — one sync per batch, acks
   //     only after it.
-  // Fused requests record their amortized latency share (the same
-  // convention HandleTopKAllBatch uses); all counters advance exactly
-  // as in singleton dispatch.
+  // Fused requests record their amortized latency share; all counters
+  // advance exactly as in singleton execution.
   std::vector<FrontendResponse> HandleBatch(
       const std::vector<const Request*>& batch);
-
-  // Full-catalog top-K for a batch of users in one call (options_.
-  // topk_k items each): the server resolves the model version and
-  // scoring plane once and reuses them across the whole batch. Counts
-  // one topK request per uid in the latency/throughput stats.
-  Result<std::vector<TopKResult>> HandleTopKAllBatch(const std::vector<uint64_t>& uids);
 
   // Enqueues a request on the pool; `done` runs on a worker thread.
   void SubmitAsync(Request request, std::function<void(FrontendResponse)> done);

@@ -17,8 +17,8 @@ namespace velox {
 
 namespace {
 
-// Every scan path (heap, serial plane, parallel shards + merge, ANN
-// rescore) selects with the shared BoundedTopK under BetterTopKEntry
+// Every scan path (serial plane, parallel shards + merge, ANN rescore)
+// selects with the shared BoundedTopK under BetterTopKEntry
 // (common/topk_heap.h) — one comparator is what makes their outputs
 // identical even on tie-heavy tables.
 
@@ -314,6 +314,13 @@ Result<FeaturePtr> PredictionService::ResolveFeatures(const ModelVersion& versio
 
 std::vector<Result<FeaturePtr>> PredictionService::BatchResolveFeatures(
     const ModelVersion& version, const std::vector<Item>& items, StageTimer& timer) {
+  // Nothing to resolve (every item hit the prediction cache): no stage
+  // sample and no counter traffic, exactly like a request that never
+  // reached feature resolution.
+  if (items.empty()) return {};
+  // A lone item has nothing to dedup or coalesce: the per-key path
+  // probes, counts and traces it identically, without the bookkeeping.
+  if (items.size() == 1) return {ResolveFeatures(version, items.front(), timer)};
   coalesce_keys_.fetch_add(items.size(), std::memory_order_relaxed);
   std::vector<std::optional<Result<FeaturePtr>>> slots(items.size());
 
@@ -478,31 +485,6 @@ size_t PredictionService::WarmFeatures(const ModelVersion& version,
   return warmed;
 }
 
-Result<double> PredictionService::ScoreItem(const ModelVersion& version, uint64_t uid,
-                                            uint64_t user_epoch,
-                                            const DenseVector& weights,
-                                            const Item& item, StageTimer& timer) {
-  PredictionKey key{uid, item.id, user_epoch, version.version};
-  if (options_.use_prediction_cache) {
-    StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
-    auto cached = prediction_cache_->Get(key);
-    if (cached.has_value()) return *cached;
-  }
-  VELOX_ASSIGN_OR_RETURN(FeaturePtr features, ResolveFeatures(version, item, timer));
-  if (features->dim() != weights.dim()) {
-    return Status::Internal(StrFormat("feature dim %zu != weight dim %zu",
-                                      features->dim(), weights.dim()));
-  }
-  StageTimer::Scope kernel(timer, Stage::kKernelScore);
-  double score = Dot(weights, *features);
-  kernel.Stop();
-  if (options_.use_prediction_cache) {
-    prediction_cache_->Put(key, score);
-  }
-  NoteScore(uid, item.id, score);
-  return score;
-}
-
 void PredictionService::NoteScore(uint64_t uid, uint64_t item_id, double score) {
   if (!options_.degrade_on_unavailable) return;
   stale_scores_.Put(PredictionKey{uid, item_id, 0, 0}, score);
@@ -534,28 +516,8 @@ ScoredItem PredictionService::ShedAnswer(uint64_t uid, uint64_t item_id) {
 }
 
 Result<ScoredItem> PredictionService::Predict(uint64_t uid, const Item& item) {
-  StageTimer timer(stages_);
-  VELOX_ASSIGN_OR_RETURN(std::shared_ptr<const ModelVersion> version,
-                         registry_->Current());
-  StageTimer::Scope lookup(timer, Stage::kUserWeightLookup);
-  DenseVector weights =
-      weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights());
-  uint64_t epoch = weights_->Epoch(uid);
-  lookup.Stop();
-  Result<double> score = ScoreItem(*version, uid, epoch, weights, item, timer);
-  if (!score.ok()) {
-    // Transient storage failure (drops, partitions, deadline misses):
-    // serve a bounded degraded answer instead of erroring the request.
-    // Definitive errors (unknown item, decode failure) still propagate.
-    if (options_.degrade_on_unavailable && score.status().IsUnavailable()) {
-      return DegradedAnswer(uid, item.id, timer);
-    }
-    return score.status();
-  }
-  ScoredItem out;
-  out.item_id = item.id;
-  out.score = score.value();
-  return out;
+  VELOX_ASSIGN_OR_RETURN(std::vector<ScoredItem> scored, PredictBatch(uid, {item}));
+  return scored.front();
 }
 
 Result<std::vector<ScoredItem>> PredictionService::PredictBatch(
@@ -781,9 +743,8 @@ size_t PredictionService::EstimateEligibleRows(const ItemFactorPlane& plane,
 }
 
 size_t PredictionService::PlannedScanShards(const ItemFactorPlane& plane,
-                                            const ItemFilter& filter,
-                                            bool parallel) const {
-  if (!parallel || scan_pool_ == nullptr || scan_pool_->num_threads() <= 1) return 1;
+                                            const ItemFilter& filter) const {
+  if (scan_pool_ == nullptr || scan_pool_->num_threads() <= 1) return 1;
   // Shards below options_.topk_min_shard_rows pay more in fan-out than
   // they save in scoring; small catalogs stay serial. The floor is
   // applied to the *filter-adjusted* row estimate: a raw-plane count
@@ -797,10 +758,10 @@ size_t PredictionService::PlannedScanShards(const ItemFactorPlane& plane,
 Result<TopKResult> PredictionService::ScanPlane(const ItemFactorPlane& plane,
                                                 int32_t model_version,
                                                 const DenseVector& weights,
-                                                size_t k, const ItemFilter& filter,
-                                                bool parallel) const {
+                                                size_t k,
+                                                const ItemFilter& filter) const {
   const size_t n = plane.num_items();
-  const size_t shards = PlannedScanShards(plane, filter, parallel);
+  const size_t shards = PlannedScanShards(plane, filter);
 
   // Stride-padded copy of the weights so plane rows can be scored over
   // their full padded stride (bit-identical, no per-row kernel tail).
@@ -908,13 +869,15 @@ PredictionService::TopKAllMode PredictionService::ResolveTopKAllMode(
       EstimateEligibleRows(plane, filter) >= options_.topk_auto_ann_min_rows) {
     return TopKAllMode::kIvf;
   }
-  return TopKAllMode::kPlaneParallel;
+  return TopKAllMode::kExact;
 }
 
-Result<TopKResult> PredictionService::ExecuteTopKAll(
-    const ModelVersion& version, const MaterializedFeatureFunction& materialized,
-    const ItemFactorPlane& plane, const DenseVector& weights, size_t k,
-    const ItemFilter& filter, TopKAllMode resolved, StageTimer& timer) {
+Result<TopKResult> PredictionService::ExecuteTopKAll(const ModelVersion& version,
+                                                    const ItemFactorPlane& plane,
+                                                    const DenseVector& weights, size_t k,
+                                                    const ItemFilter& filter,
+                                                    TopKAllMode resolved,
+                                                    StageTimer& timer) {
   if (resolved == TopKAllMode::kIvf || resolved == TopKAllMode::kIvfPq) {
     if (version.ann_index == nullptr) {
       return Status::FailedPrecondition(
@@ -929,26 +892,7 @@ Result<TopKResult> PredictionService::ExecuteTopKAll(
   // per-item caches by design, so the scan's time all lands in one
   // stage.
   StageTimer::Scope kernel(timer, Stage::kKernelScore);
-  if (resolved == TopKAllMode::kHeapScan) {
-    // Legacy per-item walk of the hash-map table, kept for ablation.
-    // Same bounded heap and tie-break order as the plane scan, so the
-    // output is identical — only the memory access pattern differs
-    // (two dependent pointer loads per item vs a streaming read).
-    BoundedTopK top(k);
-    for (const auto& [item_id, factor] : materialized.table()) {
-      if (filter && !filter(item_id)) continue;  // application policy
-      if (factor.dim() != weights.dim()) continue;  // defensive: skip bad rows
-      top.Offer(Dot(weights, factor), item_id);
-    }
-    TopKResult result;
-    result.model_version = version.version;
-    for (const TopKEntry& e : top.TakeSorted()) {
-      result.items.push_back(ScoredItem{e.id, e.score, 0.0});
-    }
-    return result;
-  }
-  return ScanPlane(plane, version.version, weights, k, filter,
-                   resolved != TopKAllMode::kPlaneSerial);
+  return ScanPlane(plane, version.version, weights, k, filter);
 }
 
 Result<TopKResult> PredictionService::TopKAll(uint64_t uid, size_t k,
@@ -974,8 +918,7 @@ Result<TopKResult> PredictionService::TopKAll(uint64_t uid, size_t k,
   DenseVector weights =
       weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights());
   lookup.Stop();
-  return ExecuteTopKAll(*version, *materialized, *plane, weights, k, filter, resolved,
-                        timer);
+  return ExecuteTopKAll(*version, *plane, weights, k, filter, resolved, timer);
 }
 
 Result<std::vector<TopKResult>> PredictionService::TopKAllBatch(
@@ -1006,8 +949,8 @@ Result<std::vector<TopKResult>> PredictionService::TopKAllBatch(
     DenseVector weights = weights_->GetOrBootstrapWeights(uid, mean);
     lookup.Stop();
     VELOX_ASSIGN_OR_RETURN(TopKResult result,
-                           ExecuteTopKAll(*version, *materialized, *plane, weights, k,
-                                          filter, resolved, timer));
+                           ExecuteTopKAll(*version, *plane, weights, k, filter,
+                                          resolved, timer));
     results.push_back(std::move(result));
     timer.Flush();  // one histogram sample per user, like TopKAll
   }

@@ -153,7 +153,8 @@ class PredictionService {
                     FeatureCache* feature_cache, PredictionCache* prediction_cache,
                     FeatureResolver resolver);
 
-  // Point prediction for (uid, item) — Listing 1's `predict`.
+  // Point prediction for (uid, item) — Listing 1's `predict`. A batch
+  // of one: PredictBatch(uid, {item}).
   Result<ScoredItem> Predict(uint64_t uid, const Item& item);
 
   // Batched point predictions: one ScoredItem per input item, in input
@@ -178,22 +179,21 @@ class PredictionService {
   // application level policies"). Returns true to keep the item.
   using ItemFilter = std::function<bool(uint64_t item_id)>;
 
-  // Which scan implementation TopKAll uses. The exact modes (heap,
-  // serial, parallel) return the same items/scores/order (ranking is
-  // the total order (score desc, item_id asc), and every path scores
-  // with the same kernels), so the non-auto exact modes exist for
-  // benchmarking and tests. The ANN modes may return a different item
-  // *set* (bounded recall loss), but every item they do return carries
-  // the exact double score — candidates are rescored through the same
+  // Which scan implementation TopKAll uses. The exact scan streams the
+  // contiguous plane, sharded across the scan pool when
+  // PlannedScanShards finds enough filter-adjusted rows; every shard
+  // count returns the same items/scores/order (ranking is the total
+  // order (score desc, item_id asc), and every shard scores with the
+  // same kernels). The ANN modes may return a different item *set*
+  // (bounded recall loss), but every item they do return carries the
+  // exact double score — candidates are rescored through the same
   // kernels, so scores are bit-identical to the exact path per item.
   enum class TopKAllMode {
-    kAuto,           // exact plane scan; ANN above topk_auto_ann_min_rows
-                     // when the version carries an index
-    kHeapScan,       // legacy per-item walk of the hash-map table
-    kPlaneSerial,    // contiguous plane, single thread
-    kPlaneParallel,  // contiguous plane, sharded across the scan pool
-    kIvf,            // IVF probe, exact rescore of all probed rows
-    kIvfPq,          // IVF probe + PQ shortlist, exact rescore
+    kAuto,   // kExact; ANN above topk_auto_ann_min_rows when the
+             // version carries an index
+    kExact,  // contiguous plane scan, PlannedScanShards shards
+    kIvf,    // IVF probe, exact rescore of all probed rows
+    kIvfPq,  // IVF probe + PQ shortlist, exact rescore
   };
 
   // Full-catalog greedy top-K — the paper's §8 "more efficient top-K
@@ -224,8 +224,8 @@ class PredictionService {
   // eligible rows are *estimated under the filter* (sampled), not the
   // raw plane size: a heavily-filtered scan must not fan out over rows
   // it will mostly skip. Public so tests can pin the policy.
-  size_t PlannedScanShards(const ItemFactorPlane& plane, const ItemFilter& filter,
-                           bool parallel) const;
+  size_t PlannedScanShards(const ItemFactorPlane& plane,
+                           const ItemFilter& filter) const;
 
   // Thread pool for sharded plane scans (borrowed; may be null for
   // serial scans). Wire at construction time — not thread-safe against
@@ -329,11 +329,6 @@ class PredictionService {
   }
 
  private:
-  // Score one item for a user; uses/fills both caches.
-  Result<double> ScoreItem(const ModelVersion& version, uint64_t uid,
-                           uint64_t user_epoch, const DenseVector& weights,
-                           const Item& item, StageTimer& timer);
-
   // The miss coalescer: resolves features for every item (one Result
   // per input, in input order, duplicates merged) with one cache probe
   // per unique item, claiming misses in the single-flight table so one
@@ -364,11 +359,11 @@ class PredictionService {
   // already decided the failure is transient.
   ScoredItem DegradedAnswer(uint64_t uid, uint64_t item_id, StageTimer& timer);
 
-  // Scans `plane` for one user's weights; shared by TopKAll and
-  // TopKAllBatch. `parallel` shards across scan_pool_ when profitable.
+  // Scans `plane` for one user's weights in PlannedScanShards shards;
+  // shared by TopKAll and TopKAllBatch.
   Result<TopKResult> ScanPlane(const ItemFactorPlane& plane, int32_t model_version,
                                const DenseVector& weights, size_t k,
-                               const ItemFilter& filter, bool parallel) const;
+                               const ItemFilter& filter) const;
 
   // Estimated rows of `plane` passing `filter` (plane size when filter
   // is null), from a bounded evenly-spaced sample — cheap enough to run
@@ -393,7 +388,6 @@ class PredictionService {
   // One user's TopKAll under an already-resolved mode; shared by
   // TopKAll and TopKAllBatch.
   Result<TopKResult> ExecuteTopKAll(const ModelVersion& version,
-                                    const MaterializedFeatureFunction& materialized,
                                     const ItemFactorPlane& plane,
                                     const DenseVector& weights, size_t k,
                                     const ItemFilter& filter, TopKAllMode resolved,

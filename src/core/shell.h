@@ -7,7 +7,7 @@
 //   train                         bootstrap from the loaded dataset
 //   predict <uid> <item>          point prediction (Listing 1)
 //   topk <uid> <k> [items...]     ranked items (candidate set or, with
-//                                 no items, a full-catalog heap scan)
+//                                 no items, a full-catalog plane scan)
 //   observe <uid> <item> <y>      feedback + online update
 //   retrain                       force offline retraining
 //   maybe-retrain                 retrain iff the model is stale

@@ -222,17 +222,11 @@ Result<TopKResult> VeloxServer::TopK(uint64_t uid, const std::vector<Item>& cand
       uid, candidates, k, bandit_.get(), rng);
 }
 
-Result<ScoredItem> VeloxServer::DegradedPredict(uint64_t uid, uint64_t item_id) {
+Result<TopKResult> VeloxServer::DegradedTopK(uint64_t uid,
+                                             std::span<const uint64_t> item_ids,
+                                             size_t k) {
   // Home-node routing without ServingNode: a shed request never enters
   // the serving pipeline, so no proxy traffic is charged.
-  VELOX_ASSIGN_OR_RETURN(NodeId node, HomeNode(uid));
-  return per_node_[static_cast<size_t>(node)]->prediction_service->ShedAnswer(uid,
-                                                                              item_id);
-}
-
-Result<TopKResult> VeloxServer::DegradedTopK(uint64_t uid,
-                                             const std::vector<uint64_t>& item_ids,
-                                             size_t k) {
   VELOX_ASSIGN_OR_RETURN(NodeId node, HomeNode(uid));
   PredictionService* service =
       per_node_[static_cast<size_t>(node)]->prediction_service.get();
@@ -262,32 +256,6 @@ Result<TopKResult> VeloxServer::TopKAll(uint64_t uid, size_t k,
   VELOX_ASSIGN_OR_RETURN(NodeId node, ServingNode(uid, sizeof(uint64_t) * 2));
   return per_node_[static_cast<size_t>(node)]->prediction_service->TopKAll(uid, k,
                                                                            filter, mode);
-}
-
-Result<std::vector<TopKResult>> VeloxServer::TopKAllBatch(
-    const std::vector<uint64_t>& uids, size_t k,
-    const PredictionService::ItemFilter& filter,
-    PredictionService::TopKAllMode mode) {
-  // Group by serving node so each node's service resolves the
-  // version/plane once for its whole share of the batch.
-  std::vector<std::vector<uint64_t>> node_uids(per_node_.size());
-  std::vector<std::vector<size_t>> node_slots(per_node_.size());
-  for (size_t i = 0; i < uids.size(); ++i) {
-    VELOX_ASSIGN_OR_RETURN(NodeId node, ServingNode(uids[i], sizeof(uint64_t) * 2));
-    node_uids[static_cast<size_t>(node)].push_back(uids[i]);
-    node_slots[static_cast<size_t>(node)].push_back(i);
-  }
-  std::vector<TopKResult> results(uids.size());
-  for (size_t n = 0; n < per_node_.size(); ++n) {
-    if (node_uids[n].empty()) continue;
-    VELOX_ASSIGN_OR_RETURN(
-        std::vector<TopKResult> node_results,
-        per_node_[n]->prediction_service->TopKAllBatch(node_uids[n], k, filter, mode));
-    for (size_t j = 0; j < node_results.size(); ++j) {
-      results[node_slots[n][j]] = std::move(node_results[j]);
-    }
-  }
-  return results;
 }
 
 Status VeloxServer::Observe(uint64_t uid, const Item& item, double label) {
@@ -338,19 +306,23 @@ void VeloxServer::WarmReadFeatures(
 
 std::vector<Status> VeloxServer::ObserveBatch(const std::vector<ObserveOp>& ops) {
   std::vector<Status> out(ops.size(), Status::OK());
-  // Open one group-commit window per involved node journal before any
-  // update lands, so every op's WAL append defers its sync.
+  // Open one group-commit window per node journal that two or more ops
+  // touch, before any update lands, so each of their WAL appends
+  // defers its sync. A window around a single append would only add a
+  // group commit (and, under fsync_every_n > 1, an early sync).
   std::vector<NodeId> op_node(ops.size(), NodeId(-1));
-  std::vector<bool> open(per_node_.size(), false);
+  std::vector<size_t> node_ops(per_node_.size(), 0);
   for (size_t i = 0; i < ops.size(); ++i) {
     auto home = HomeNode(ops[i].uid);
     if (!home.ok()) continue;
     op_node[i] = home.value();
-    auto n = static_cast<size_t>(home.value());
-    if (!open[n] && per_node_[n]->journal != nullptr) {
-      per_node_[n]->journal->BeginGroupCommit();
-      open[n] = true;
-    }
+    ++node_ops[static_cast<size_t>(home.value())];
+  }
+  std::vector<bool> open(per_node_.size(), false);
+  for (size_t n = 0; n < per_node_.size(); ++n) {
+    if (node_ops[n] < 2 || per_node_[n]->journal == nullptr) continue;
+    per_node_[n]->journal->BeginGroupCommit();
+    open[n] = true;
   }
   for (size_t i = 0; i < ops.size(); ++i) {
     out[i] = ObserveWithProvenance(ops[i].uid, ops[i].item, ops[i].label,

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -170,28 +171,19 @@ class VeloxServer {
                              const PredictionService::ItemFilter& filter = nullptr,
                              PredictionService::TopKAllMode mode =
                                  PredictionService::TopKAllMode::kAuto);
-  // Batched full-catalog top-K: amortizes the version/plane lookup
-  // across users, grouping uids by home node. Results in input order.
-  Result<std::vector<TopKResult>> TopKAllBatch(const std::vector<uint64_t>& uids,
-                                               size_t k,
-                                               const PredictionService::ItemFilter&
-                                                   filter = nullptr,
-                                               PredictionService::TopKAllMode mode =
-                                                   PredictionService::TopKAllMode::kAuto);
   // ---- load-shed fast path (server plane) ----
   // Degraded answers through the home node's degradation ladder — the
   // exact code path a transient storage fault takes (stale-score board,
   // else bootstrap mean; see PredictionService::ShedAnswer). No storage
-  // I/O, no scoring. The admission layer answers shed requests here so
-  // overload responses are bit-identical to fault-degraded ones.
-  Result<ScoredItem> DegradedPredict(uint64_t uid, uint64_t item_id);
-  // Ladder scores for `item_ids` ranked under the same (score desc,
-  // item_id asc) total order the exact paths use, truncated to k. Only
-  // a bounded prefix (4k candidates) is examined: a shed answer must
-  // cost O(k), not O(candidate set), or shedding a large topK would be
-  // more expensive than serving it and overload protection would feed
-  // the overload.
-  Result<TopKResult> DegradedTopK(uint64_t uid, const std::vector<uint64_t>& item_ids,
+  // I/O, no scoring. The admission layer answers every shed read here
+  // (a shed predict is the k=1 answer for its one item), so overload
+  // responses are bit-identical to fault-degraded ones. Ladder scores
+  // for `item_ids` rank under the same (score desc, item_id asc) total
+  // order the exact paths use, truncated to k. Only a bounded prefix
+  // (4k candidates) is examined: a shed answer must cost O(k), not
+  // O(candidate set), or shedding a large topK would be more expensive
+  // than serving it and overload protection would feed the overload.
+  Result<TopKResult> DegradedTopK(uint64_t uid, std::span<const uint64_t> item_ids,
                                   size_t k);
 
   Status Observe(uint64_t uid, const Item& item, double label);
@@ -217,15 +209,17 @@ class VeloxServer {
     double label = 0.0;
     bool exploration_sourced = false;
   };
-  // Applies `ops` in order with one WAL group-commit window per
-  // involved node journal: every observation's journal append defers
-  // its sync and the window's close pays a single policy-appropriate
-  // sync (one fdatasync under kFsync) for the whole batch. Statuses are
-  // order-aligned with `ops` and identical to calling
-  // ObserveWithProvenance per op — except that a failed group sync
-  // downgrades that node's acknowledged ops to the sync error, since
-  // their durability was never established. Callers must not
-  // acknowledge an op before this returns.
+  // Applies `ops` in order with one WAL group-commit window per node
+  // journal that two or more ops touch: every such op's journal append
+  // defers its sync and the window's close pays a single
+  // policy-appropriate sync (one fdatasync under kFsync) for the whole
+  // batch. A node with a single op appends under its ordinary policy,
+  // exactly as ObserveWithProvenance would. Statuses are order-aligned
+  // with `ops` and identical to calling ObserveWithProvenance per op —
+  // except that a failed group sync downgrades that node's acknowledged
+  // ops to the sync error, since their durability was never
+  // established. Callers must not acknowledge an op before this
+  // returns.
   std::vector<Status> ObserveBatch(const std::vector<ObserveOp>& ops);
 
   // ---- fault tolerance ----

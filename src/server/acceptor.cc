@@ -1,5 +1,6 @@
 #include "server/acceptor.h"
 
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -15,7 +16,6 @@ RequestAcceptor::RequestAcceptor(AcceptorOptions options, VeloxFrontend* fronten
       admission_(options_.admission, clock_),
       dispatcher_(
           options_.dispatcher,
-          [frontend](const Request& request) { return frontend->Handle(request); },
           [frontend](const std::vector<const Request*>& batch) {
             return frontend->HandleBatch(batch);
           },
@@ -72,31 +72,23 @@ void RequestAcceptor::ShedAnswer(const Request& request, int64_t arrival_nanos,
   StageTimer::Scope span(timer, Stage::kShed);
   FrontendResponse response;
   response.shed = true;
-  VeloxServer* server = frontend_->server();
-  switch (request.type) {
-    case RequestType::kPredict: {
-      if (request.items.empty()) {
-        response.status = Status::InvalidArgument("predict requires an item");
-        break;
-      }
-      auto r = server->DegradedPredict(request.uid, request.items[0]);
-      response.status = r.status();
-      if (r.ok()) response.items.push_back(r.value());
-      break;
-    }
-    case RequestType::kTopK: {
-      auto r = server->DegradedTopK(request.uid, request.items,
-                                    frontend_->options().topk_k);
-      response.status = r.status();
-      if (r.ok()) response.items = r.value().items;
-      break;
-    }
-    case RequestType::kObserve:
-      // Acknowledged but dropped: under overload the feedback loop goes
-      // lossy before the serving path goes slow. The `shed` flag tells
-      // the client its update was not applied.
-      response.status = Status::OK();
-      break;
+  if (request.type == RequestType::kObserve) {
+    // Acknowledged but dropped: under overload the feedback loop goes
+    // lossy before the serving path goes slow. The `shed` flag tells
+    // the client its update was not applied.
+    response.status = Status::OK();
+  } else if (request.type == RequestType::kPredict && request.items.empty()) {
+    response.status = Status::InvalidArgument("predict requires an item");
+  } else {
+    // One ladder call for every shed read: a predict is the k=1 answer
+    // for its one item.
+    const bool predict = request.type == RequestType::kPredict;
+    std::span<const uint64_t> items(request.items);
+    auto r = frontend_->server()->DegradedTopK(
+        request.uid, predict ? items.first(1) : items,
+        predict ? 1 : frontend_->options().topk_k);
+    response.status = r.status();
+    if (r.ok()) response.items = std::move(r.value().items);
   }
   span.Stop();
   response.latency_micros =

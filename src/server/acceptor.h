@@ -9,7 +9,8 @@
 //               worker pools, kQueueWait)      the PR-3 ladder: stale
 //                  │                           score → bootstrap mean,
 //                  ▼                           flagged shed/degraded)
-//              VeloxFrontend::Handle
+//              VeloxFrontend::HandleBatch
+//              (a lone request is a batch of one)
 //
 // Every submitted request is answered exactly once — admitted, shed, or
 // rejected at teardown — so availability is 100% by construction; what

@@ -1,22 +1,17 @@
 #include "server/dispatcher.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/clock.h"
 #include "common/logging.h"
 
 namespace velox {
 
-RequestDispatcher::RequestDispatcher(DispatcherOptions options, Handler handler,
-                                     StageRegistry* stages)
-    : RequestDispatcher(options, std::move(handler), nullptr, stages) {}
-
-RequestDispatcher::RequestDispatcher(DispatcherOptions options, Handler handler,
-                                     BatchHandler batch_handler,
-                                     StageRegistry* stages)
+RequestDispatcher::RequestDispatcher(DispatcherOptions options,
+                                     BatchHandler handler, StageRegistry* stages)
     : options_(options),
       handler_(std::move(handler)),
-      batch_handler_(std::move(batch_handler)),
       stages_(stages),
       read_lane_(options_.read_queue_capacity),
       write_lane_(options_.write_queue_capacity) {
@@ -62,27 +57,9 @@ double RequestDispatcher::CurrentBatchLimit(const Lane& lane) const {
   return lane.aimd_limit.load(std::memory_order_relaxed);
 }
 
-FrontendResponse RequestDispatcher::RunSingleton(const Request& request) {
-  // A throwing handler must not unwind into the pool: that would end
-  // this (long-running) loop task and strand popped requests without a
-  // MarkDone, hanging Drain(). Answer with an Internal status instead.
-  try {
-    return handler_(request);
-  } catch (const std::exception& e) {
-    VELOX_LOG(WARNING) << "server task threw: " << e.what();
-    FrontendResponse response;
-    response.status = Status::Internal(e.what());
-    return response;
-  } catch (...) {
-    VELOX_LOG(WARNING) << "server task threw a non-exception";
-    FrontendResponse response;
-    response.status = Status::Internal("server task threw a non-exception");
-    return response;
-  }
-}
-
 void RequestDispatcher::WorkerLoop(Lane* lane) {
   std::vector<ServerTask> batch;
+  std::vector<const Request*> requests;
   ServerTask first;
   while (lane->queue.Pop(&first)) {
     batch.clear();
@@ -100,11 +77,12 @@ void RequestDispatcher::WorkerLoop(Lane* lane) {
       lane->queue.PopManyFor(&batch, limit - 1,
                              options_.batch_delay_micros * 1000);
     }
-    ExecuteBatch(lane, &batch);
+    ExecuteBatch(lane, &batch, &requests);
   }
 }
 
-void RequestDispatcher::ExecuteBatch(Lane* lane, std::vector<ServerTask>* batch) {
+void RequestDispatcher::ExecuteBatch(Lane* lane, std::vector<ServerTask>* batch,
+                                     std::vector<const Request*>* requests) {
   const size_t n = batch->size();
   if (stages_ != nullptr) {
     // Queue residency, charged per request like every other stage.
@@ -119,40 +97,33 @@ void RequestDispatcher::ExecuteBatch(Lane* lane, std::vector<ServerTask>* batch)
   const int64_t exec_start =
       (adapt || stages_ != nullptr) ? SteadyClock::Default()->NowNanos() : 0;
 
+  // A throwing handler must not unwind into the pool: that would end
+  // this (long-running) loop task and strand popped requests without a
+  // MarkDone, hanging Drain(). It may also have partially applied
+  // writes, so the batch is NOT re-run per task — every request is
+  // answered with an Internal status instead.
+  requests->clear();
+  for (const ServerTask& task : *batch) requests->push_back(&task.request);
   std::vector<FrontendResponse> responses;
-  if (n > 1 && batch_handler_) {
-    // Grouped execution. A throwing batch handler may have partially
-    // applied writes, so the batch is NOT re-run per task — every
-    // request is answered with an Internal status instead (the same
-    // containment contract as the singleton path).
-    std::vector<const Request*> requests;
-    requests.reserve(n);
-    for (const ServerTask& task : *batch) requests.push_back(&task.request);
-    std::string error;
-    try {
-      responses = batch_handler_(requests);
-      if (responses.size() != n) {
-        error = "batch handler returned a mismatched response count";
-        responses.clear();
-      }
-    } catch (const std::exception& e) {
-      VELOX_LOG(WARNING) << "server batch threw: " << e.what();
-      error = e.what();
-      responses.clear();
-    } catch (...) {
-      VELOX_LOG(WARNING) << "server batch threw a non-exception";
-      error = "server batch threw a non-exception";
+  std::string error;
+  try {
+    responses = handler_(*requests);
+    if (responses.size() != n) {
+      error = "batch handler returned a mismatched response count";
       responses.clear();
     }
-    if (responses.empty()) {
-      responses.resize(n);
-      for (FrontendResponse& r : responses) r.status = Status::Internal(error);
-    }
-  } else {
-    responses.reserve(n);
-    for (const ServerTask& task : *batch) {
-      responses.push_back(RunSingleton(task.request));
-    }
+  } catch (const std::exception& e) {
+    VELOX_LOG(WARNING) << "server batch threw: " << e.what();
+    error = e.what();
+    responses.clear();
+  } catch (...) {
+    VELOX_LOG(WARNING) << "server batch threw a non-exception";
+    error = "server batch threw a non-exception";
+    responses.clear();
+  }
+  if (responses.empty()) {
+    responses.resize(n);
+    for (FrontendResponse& r : responses) r.status = Status::Internal(error);
   }
 
   double exec_micros = 0.0;

@@ -11,17 +11,18 @@
 // and the acceptor sheds — queueing delay is bounded by construction,
 // not by hope.
 //
-// Cross-request batching (Clipper-style adaptive dynamic batching,
-// DESIGN.md §15): with batch_max > 1 a worker drains up to its lane's
-// current batch limit in one pop (lingering at most batch_delay_micros
-// past the first task for stragglers — a lone request is never held
-// hostage) and executes the whole batch through the batch handler,
-// which amortizes per-request cost: one coalesced feature MultiGet per
-// batch on the read lane, one WAL group commit per batch on the write
-// lane. The limit adapts per lane by AIMD search against
+// Every pop executes through the one batch handler (Clipper-style: a
+// lone request is a batch of one). Cross-request batching (adaptive
+// dynamic batching, DESIGN.md §15): with batch_max > 1 a worker drains
+// up to its lane's current batch limit in one pop (lingering at most
+// batch_delay_micros past the first task for stragglers — a lone
+// request is never held hostage), and the handler amortizes
+// per-request cost across the batch: one coalesced feature MultiGet
+// per batch on the read lane, one WAL group commit per batch on the
+// write lane. The limit adapts per lane by AIMD search against
 // batch_slo_micros: additive growth (+1) while a batch's execute
 // latency stays under the SLO, multiplicative backoff (×1/2) on a
-// violation. Responses stay bit-identical to singleton dispatch and
+// violation. Responses stay bit-identical to singleton execution and
 // every task's `done` still fires exactly once.
 #ifndef VELOX_SERVER_DISPATCHER_H_
 #define VELOX_SERVER_DISPATCHER_H_
@@ -74,21 +75,16 @@ struct DispatcherOptions {
 
 class RequestDispatcher {
  public:
-  using Handler = std::function<FrontendResponse(const Request&)>;
-  // Executes a formed batch, returning one response per request in
-  // input order (VeloxFrontend::HandleBatch). May be null: batches
-  // then execute by running the singleton handler per task (queue-pop
-  // amortization only).
+  // Executes a popped batch (one or more requests), returning one
+  // response per request in input order (VeloxFrontend::HandleBatch).
   using BatchHandler =
       std::function<std::vector<FrontendResponse>(const std::vector<const Request*>&)>;
 
   // `stages` (borrowed, may be null) receives per-request kQueueWait
   // samples plus per-batch kBatchForm / kBatchExecute samples. Workers
   // start immediately.
-  RequestDispatcher(DispatcherOptions options, Handler handler,
+  RequestDispatcher(DispatcherOptions options, BatchHandler handler,
                     StageRegistry* stages);
-  RequestDispatcher(DispatcherOptions options, Handler handler,
-                    BatchHandler batch_handler, StageRegistry* stages);
   ~RequestDispatcher();
 
   RequestDispatcher(const RequestDispatcher&) = delete;
@@ -160,15 +156,13 @@ class RequestDispatcher {
   void WorkerLoop(Lane* lane);
   // Executes `batch` (non-empty), answers every task exactly once,
   // updates the lane's AIMD state and counters, MarkDone per task.
-  void ExecuteBatch(Lane* lane, std::vector<ServerTask>* batch);
-  // Runs one task through the singleton handler with exception
-  // containment; never throws.
-  FrontendResponse RunSingleton(const Request& request);
+  // `requests` is the worker's reused scratch for the handler's input.
+  void ExecuteBatch(Lane* lane, std::vector<ServerTask>* batch,
+                    std::vector<const Request*>* requests);
   double CurrentBatchLimit(const Lane& lane) const;
 
   DispatcherOptions options_;
-  Handler handler_;
-  BatchHandler batch_handler_;
+  BatchHandler handler_;
   StageRegistry* stages_;
   Lane read_lane_;
   Lane write_lane_;

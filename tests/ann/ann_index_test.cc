@@ -170,9 +170,9 @@ class AnnServeTest : public ::testing::Test {
     return opts;
   }
 
-  // Exact score of every item for `uid`, from the exact serial scan.
+  // Exact score of every item for `uid`, from the exact scan.
   std::unordered_map<uint64_t, double> ExactScores(uint64_t uid) {
-    auto all = service_.TopKAll(uid, kCatalog, nullptr, Mode::kPlaneSerial);
+    auto all = service_.TopKAll(uid, kCatalog, nullptr, Mode::kExact);
     EXPECT_TRUE(all.ok());
     std::unordered_map<uint64_t, double> scores;
     for (const ScoredItem& item : all->items) scores[item.item_id] = item.score;
@@ -183,7 +183,7 @@ class AnnServeTest : public ::testing::Test {
     double total = 0.0;
     size_t queries = 0;
     for (uint64_t uid = 1; uid <= 40; ++uid) {
-      auto exact = service_.TopKAll(uid, 10, nullptr, Mode::kPlaneSerial);
+      auto exact = service_.TopKAll(uid, 10, nullptr, Mode::kExact);
       auto approx = service_.TopKAll(uid, 10, nullptr, mode);
       EXPECT_TRUE(exact.ok());
       EXPECT_TRUE(approx.ok());
@@ -334,7 +334,7 @@ TEST_F(AnnServeTest, AnnCountersTrackProbeAndRescoreVolume) {
 // estimate. 4096 raw rows over a 4-thread pool with a 64-row floor
 // would always plan 4 shards on raw counts; a 0.1%-keep filter leaves
 // an estimated handful of eligible rows, under one shard's floor, so
-// the plan must collapse to 1.
+// the plan must collapse to 1. Without a pool the plan is always 1.
 TEST_F(AnnServeTest, PlannedScanShardsFollowEligibleRowsNotRawRows) {
   MaterializedFeatureFunction::FactorTable table;
   for (uint64_t id = 0; id < 4096; ++id) {
@@ -343,10 +343,12 @@ TEST_F(AnnServeTest, PlannedScanShardsFollowEligibleRowsNotRawRows) {
     table[id] = std::move(f);
   }
   ItemFactorPlane plane(table, kDim);
-  EXPECT_EQ(service_.PlannedScanShards(plane, nullptr, /*parallel=*/true), 4u);
+  EXPECT_EQ(service_.PlannedScanShards(plane, nullptr), 4u);
   auto sparse = [](uint64_t item_id) { return item_id % 1000 == 0; };
-  EXPECT_EQ(service_.PlannedScanShards(plane, sparse, /*parallel=*/true), 1u);
-  EXPECT_EQ(service_.PlannedScanShards(plane, nullptr, /*parallel=*/false), 1u);
+  EXPECT_EQ(service_.PlannedScanShards(plane, sparse), 1u);
+  PredictionService no_pool(MakeServiceOptions(), &registry_, &weights_, &bootstrapper_,
+                            &feature_cache_, &prediction_cache_, FeatureResolver());
+  EXPECT_EQ(no_pool.PlannedScanShards(plane, nullptr), 1u);
 }
 
 }  // namespace

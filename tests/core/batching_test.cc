@@ -1,7 +1,8 @@
 // The serving-tier batched path: PredictBatch vs per-key Predict
 // bit-identity, miss coalescing (duplicates merged, one MultiGet per
-// batch), single-flight dedup of concurrent misses, and per-key
-// degradation when one storage node's sub-batch drops.
+// batch), single-flight dedup of concurrent misses, per-key
+// degradation when one storage node's sub-batch drops, and no
+// feature-resolve stage sample for requests that never resolve one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -207,6 +208,32 @@ TEST(PredictBatchTest, OneNodesDropDegradesOnlyItsKeys) {
   for (size_t i = 0; i < items.size(); ++i) {
     EXPECT_FALSE(healed.value()[i].degraded) << "item " << items[i].id;
   }
+}
+
+// Requests whose items all hit the prediction cache never resolve a
+// feature, so they must not record a (near-zero) feature_resolve_local
+// sample — one would skew that stage's percentiles toward 0 for every
+// cache-hit predict and topK.
+TEST(PredictBatchTest, AllCacheHitsRecordNoFeatureResolveSample) {
+  SyntheticDataset data = SmallData();
+  VeloxServer server(BatchingConfig(), SmallModel());
+  ASSERT_TRUE(server.Bootstrap(data.ratings).ok());
+
+  const uint64_t uid = data.ratings[0].uid;
+  std::vector<Item> items;
+  for (uint64_t id = 0; id < 5; ++id) items.push_back(MakeItem(id));
+  ASSERT_TRUE(server.PredictBatch(uid, items).ok());  // fills the cache
+  server.ResetStageStats();
+
+  constexpr int kCalls = 100;
+  for (int i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(server.PredictBatch(uid, items).ok());
+    ASSERT_TRUE(server.Predict(uid, items[i % items.size()]).ok());
+    ASSERT_TRUE(server.TopK(uid, items, 3).ok());
+  }
+  EXPECT_EQ(server.StageData(Stage::kPredictionCacheProbe).count(), 3u * kCalls);
+  EXPECT_EQ(server.StageData(Stage::kFeatureResolveLocal).count(), 0u);
+  EXPECT_EQ(server.StageData(Stage::kFeatureResolveRemote).count(), 0u);
 }
 
 }  // namespace

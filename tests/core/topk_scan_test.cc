@@ -1,8 +1,9 @@
 // Tier-1 coverage for the plane-based full-catalog top-K scan: the
-// parallel sharded path must return exactly the same items, scores,
-// and order as the serial plane scan, the legacy heap scan, and the
-// generic TopK over the whole catalog — including on tie-heavy factor
-// tables, k > catalog, and under ItemFilter pre-filtering.
+// exact scan sharded across a scan pool must return exactly the same
+// items, scores, and order as the same scan on a service without a
+// pool (one shard) and as the generic TopK over the whole catalog —
+// including on tie-heavy factor tables, k > catalog, under ItemFilter
+// pre-filtering, and on both the mixed-precision and pure-double scans.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -29,6 +30,8 @@ class TopKScanTest : public ::testing::Test {
         prediction_cache_(4 * kCatalog),
         pool_(4),
         service_(MakeServiceOptions(), &registry_, &weights_, &bootstrapper_,
+                 &feature_cache_, &prediction_cache_, FeatureResolver()),
+        no_pool_(MakeServiceOptions(), &registry_, &weights_, &bootstrapper_,
                  &feature_cache_, &prediction_cache_, FeatureResolver()) {
     // Tie-heavy catalog: factors depend only on id % 5, so scores
     // collapse onto 5 distinct values and tie-breaking is load-bearing.
@@ -90,77 +93,100 @@ class TopKScanTest : public ::testing::Test {
   FeatureCache feature_cache_;
   PredictionCache prediction_cache_;
   ThreadPool pool_;
+  // Sharded across pool_ (see MakeServiceOptions) ...
   PredictionService service_;
+  // ... and the same scan without a pool: always one shard.
+  PredictionService no_pool_;
 };
 
-TEST_F(TopKScanTest, ParallelMatchesSerialHeapAndGenericOnTieHeavyCatalog) {
+TEST_F(TopKScanTest, PooledScanPlansShardsAndNoPoolPlansOne) {
+  auto version = registry_.Current();
+  ASSERT_TRUE(version.ok());
+  ASSERT_NE(version.value()->item_plane, nullptr);
+  const ItemFactorPlane& plane = *version.value()->item_plane;
+  // 1000 rows / 64-row floor = 15 shards, capped at the 4 pool threads.
+  EXPECT_EQ(service_.PlannedScanShards(plane, nullptr), 4u);
+  EXPECT_EQ(no_pool_.PlannedScanShards(plane, nullptr), 1u);
+}
+
+TEST_F(TopKScanTest, PooledMatchesNoPoolAndGenericOnTieHeavyCatalog) {
   const size_t k = 37;
-  auto parallel = service_.TopKAll(1, k, nullptr, Mode::kPlaneParallel);
-  auto serial = service_.TopKAll(1, k, nullptr, Mode::kPlaneSerial);
-  auto heap = service_.TopKAll(1, k, nullptr, Mode::kHeapScan);
+  auto pooled = service_.TopKAll(1, k, nullptr, Mode::kExact);
+  auto no_pool = no_pool_.TopKAll(1, k, nullptr, Mode::kExact);
   auto generic = service_.TopK(1, AllItems(), k, nullptr, nullptr);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(heap.ok());
+  ASSERT_TRUE(pooled.ok());
+  ASSERT_TRUE(no_pool.ok());
   ASSERT_TRUE(generic.ok());
-  ASSERT_EQ(parallel->items.size(), k);
-  ExpectSame(*serial, *parallel);
-  ExpectSame(*heap, *parallel);
-  ExpectSame(*generic, *parallel);
+  ASSERT_EQ(pooled->items.size(), k);
+  ExpectSame(*no_pool, *pooled);
+  ExpectSame(*generic, *pooled);
   // Ties resolve to ascending item id at equal scores.
-  for (size_t i = 1; i < parallel->items.size(); ++i) {
-    if (parallel->items[i - 1].score == parallel->items[i].score) {
-      EXPECT_LT(parallel->items[i - 1].item_id, parallel->items[i].item_id);
+  for (size_t i = 1; i < pooled->items.size(); ++i) {
+    if (pooled->items[i - 1].score == pooled->items[i].score) {
+      EXPECT_LT(pooled->items[i - 1].item_id, pooled->items[i].item_id);
     }
   }
 }
 
+TEST_F(TopKScanTest, PureDoubleScanMatchesAcrossShardCounts) {
+  PredictionServiceOptions opts = MakeServiceOptions();
+  opts.topk_mixed_precision = false;
+  PredictionService pooled_double(opts, &registry_, &weights_, &bootstrapper_,
+                                  &feature_cache_, &prediction_cache_,
+                                  FeatureResolver());
+  pooled_double.SetScanPool(&pool_);
+  PredictionService serial_double(opts, &registry_, &weights_, &bootstrapper_,
+                                  &feature_cache_, &prediction_cache_,
+                                  FeatureResolver());
+  for (size_t k : {size_t{1}, size_t{37}, kCatalog + 5}) {
+    auto pooled = pooled_double.TopKAll(1, k, nullptr, Mode::kExact);
+    auto serial = serial_double.TopKAll(1, k, nullptr, Mode::kExact);
+    auto mixed = service_.TopKAll(1, k, nullptr, Mode::kExact);
+    ASSERT_TRUE(pooled.ok());
+    ASSERT_TRUE(serial.ok());
+    ASSERT_TRUE(mixed.ok());
+    ExpectSame(*serial, *pooled);
+    ExpectSame(*mixed, *pooled);
+  }
+}
+
 TEST_F(TopKScanTest, KLargerThanCatalogReturnsWholeCatalogInIdenticalOrder) {
-  auto parallel = service_.TopKAll(1, kCatalog + 50, nullptr, Mode::kPlaneParallel);
-  auto serial = service_.TopKAll(1, kCatalog + 50, nullptr, Mode::kPlaneSerial);
-  auto heap = service_.TopKAll(1, kCatalog + 50, nullptr, Mode::kHeapScan);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(heap.ok());
-  EXPECT_EQ(parallel->items.size(), kCatalog);
-  ExpectSame(*serial, *parallel);
-  ExpectSame(*heap, *parallel);
+  auto pooled = service_.TopKAll(1, kCatalog + 50, nullptr, Mode::kExact);
+  auto no_pool = no_pool_.TopKAll(1, kCatalog + 50, nullptr, Mode::kExact);
+  ASSERT_TRUE(pooled.ok());
+  ASSERT_TRUE(no_pool.ok());
+  EXPECT_EQ(pooled->items.size(), kCatalog);
+  ExpectSame(*no_pool, *pooled);
 }
 
 TEST_F(TopKScanTest, FilterInteractsIdenticallyAcrossPaths) {
   // Drop two of the five score classes, including the best one.
   auto filter = [](uint64_t item_id) { return item_id % 5 != 4 && item_id % 5 != 1; };
-  auto parallel = service_.TopKAll(1, 20, filter, Mode::kPlaneParallel);
-  auto serial = service_.TopKAll(1, 20, filter, Mode::kPlaneSerial);
-  auto heap = service_.TopKAll(1, 20, filter, Mode::kHeapScan);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(heap.ok());
-  ASSERT_EQ(parallel->items.size(), 20u);
-  for (const ScoredItem& item : parallel->items) {
+  auto pooled = service_.TopKAll(1, 20, filter, Mode::kExact);
+  auto no_pool = no_pool_.TopKAll(1, 20, filter, Mode::kExact);
+  std::vector<Item> kept;
+  for (const Item& item : AllItems()) {
+    if (filter(item.id)) kept.push_back(item);
+  }
+  auto generic = service_.TopK(1, kept, 20, nullptr, nullptr);
+  ASSERT_TRUE(pooled.ok());
+  ASSERT_TRUE(no_pool.ok());
+  ASSERT_TRUE(generic.ok());
+  ASSERT_EQ(pooled->items.size(), 20u);
+  for (const ScoredItem& item : pooled->items) {
     EXPECT_TRUE(filter(item.item_id)) << item.item_id;
   }
-  ExpectSame(*serial, *parallel);
-  ExpectSame(*heap, *parallel);
+  ExpectSame(*no_pool, *pooled);
+  ExpectSame(*generic, *pooled);
 }
 
-TEST_F(TopKScanTest, AutoModeUsesPlaneAndAgreesWithExplicitModes) {
+TEST_F(TopKScanTest, AutoModeUsesExactScanWithoutIndex) {
   auto auto_mode = service_.TopKAll(1, 10);
-  auto parallel = service_.TopKAll(1, 10, nullptr, Mode::kPlaneParallel);
+  auto exact = service_.TopKAll(1, 10, nullptr, Mode::kExact);
   ASSERT_TRUE(auto_mode.ok());
-  ASSERT_TRUE(parallel.ok());
-  ExpectSame(*parallel, *auto_mode);
-}
-
-TEST_F(TopKScanTest, NoScanPoolFallsBackToSerialWithIdenticalOutput) {
-  PredictionService no_pool(MakeServiceOptions(), &registry_, &weights_,
-                            &bootstrapper_, &feature_cache_, &prediction_cache_,
-                            FeatureResolver());
-  auto serial = no_pool.TopKAll(1, 15, nullptr, Mode::kPlaneParallel);
-  auto pooled = service_.TopKAll(1, 15, nullptr, Mode::kPlaneParallel);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(pooled.ok());
-  ExpectSame(*serial, *pooled);
+  ASSERT_TRUE(exact.ok());
+  ExpectSame(*exact, *auto_mode);
+  EXPECT_EQ(service_.ann_queries(), 0u);
 }
 
 TEST_F(TopKScanTest, BatchMatchesPerUserCallsAndAmortizesLookup) {
@@ -192,18 +218,18 @@ TEST_F(TopKScanTest, BatchValidatesArgumentsAndPreconditions) {
   EXPECT_TRUE(service.TopKAllBatch({1}, 5).status().IsFailedPrecondition());
 }
 
-TEST_F(TopKScanTest, RepeatedParallelScansAreDeterministic) {
-  auto first = service_.TopKAll(1, 33, nullptr, Mode::kPlaneParallel);
+TEST_F(TopKScanTest, RepeatedPooledScansAreDeterministic) {
+  auto first = service_.TopKAll(1, 33, nullptr, Mode::kExact);
   ASSERT_TRUE(first.ok());
   for (int trial = 0; trial < 10; ++trial) {
-    auto again = service_.TopKAll(1, 33, nullptr, Mode::kPlaneParallel);
+    auto again = service_.TopKAll(1, 33, nullptr, Mode::kExact);
     ASSERT_TRUE(again.ok());
     ExpectSame(*first, *again);
   }
 }
 
 // All factors identical -> every item ties; output must be the first k
-// item ids in ascending order on every path.
+// item ids in ascending order with and without the pool.
 TEST(TopKScanAllTiesTest, FullTieCatalogOrdersByItemId) {
   const size_t dim = 3, catalog = 300;
   ModelRegistry registry("ties");
@@ -216,9 +242,11 @@ TEST(TopKScanAllTiesTest, FullTieCatalogOrdersByItemId) {
   ThreadPool pool(4);
   PredictionServiceOptions opts;
   opts.topk_min_shard_rows = 16;
-  PredictionService service(opts, &registry, &weights, &bootstrapper, &feature_cache,
+  PredictionService pooled(opts, &registry, &weights, &bootstrapper, &feature_cache,
+                           &prediction_cache, FeatureResolver());
+  pooled.SetScanPool(&pool);
+  PredictionService no_pool(opts, &registry, &weights, &bootstrapper, &feature_cache,
                             &prediction_cache, FeatureResolver());
-  service.SetScanPool(&pool);
 
   auto table = std::make_shared<MaterializedFeatureFunction::FactorTable>();
   for (uint64_t id = 0; id < catalog; ++id) {
@@ -228,12 +256,12 @@ TEST(TopKScanAllTiesTest, FullTieCatalogOrdersByItemId) {
                     nullptr, 0.0);
   weights.SeedUser(9, DenseVector{0.5, -1.0, 2.0}, 1);
 
-  for (Mode mode : {Mode::kPlaneParallel, Mode::kPlaneSerial, Mode::kHeapScan}) {
-    auto r = service.TopKAll(9, 25, nullptr, mode);
+  for (PredictionService* service : {&pooled, &no_pool}) {
+    auto r = service->TopKAll(9, 25, nullptr, Mode::kExact);
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r->items.size(), 25u);
     for (size_t i = 0; i < r->items.size(); ++i) {
-      EXPECT_EQ(r->items[i].item_id, i) << "mode " << static_cast<int>(mode);
+      EXPECT_EQ(r->items[i].item_id, i) << (service == &pooled ? "pooled" : "no pool");
     }
   }
 }

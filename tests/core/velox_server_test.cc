@@ -366,7 +366,7 @@ TEST(VeloxServerTest, AnnServingSurfacesCountersStagesAndMetrics) {
   ASSERT_TRUE(server.Bootstrap(data.ratings).ok());
 
   auto exact = server.TopKAll(data.ratings[0].uid, 5, nullptr,
-                              PredictionService::TopKAllMode::kPlaneSerial);
+                              PredictionService::TopKAllMode::kExact);
   auto ann = server.TopKAll(data.ratings[0].uid, 5);  // kAuto -> ANN
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(ann.ok());

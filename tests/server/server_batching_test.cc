@@ -3,14 +3,18 @@
 // degradation ladder's per-key rungs), a lone request is bounded by the
 // linger delay rather than held hostage to batch formation, the AIMD
 // batch-size search grows under the SLO and backs off on violations,
-// and a saturated batched lane never starves a second tenant.
+// a saturated batched lane never starves a second tenant, and a
+// failing batch handler still answers every request exactly once.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.h"
@@ -242,18 +246,14 @@ TEST_F(ServerBatchingTest, AimdGrowsUnderSloAndBacksOffOnViolation) {
   options.batch_max = 8;
   options.batch_delay_micros = 0;
   options.batch_slo_micros = 2000;  // 2 ms SLO
-  RequestDispatcher::Handler handler = [&slow](const Request&) {
-    if (slow.load()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    return FrontendResponse();
-  };
-  RequestDispatcher::BatchHandler batch_handler =
+  RequestDispatcher::BatchHandler handler =
       [&slow](const std::vector<const Request*>& requests) {
         if (slow.load()) {
           std::this_thread::sleep_for(std::chrono::milliseconds(10));
         }
         return std::vector<FrontendResponse>(requests.size());
       };
-  RequestDispatcher dispatcher(options, handler, batch_handler, nullptr);
+  RequestDispatcher dispatcher(options, handler, nullptr);
 
   auto submit_and_drain = [&dispatcher](int n) {
     for (int i = 0; i < n; ++i) {
@@ -363,6 +363,78 @@ TEST_F(ServerBatchingTest, ReportAndMetricsSurfaceBatchingState) {
   RequestAcceptor singleton(off, frontend_.get());
   EXPECT_NE(singleton.Report().find("batching: off"), std::string::npos);
 }
+
+// Containment: the batch handler is the only dispatch path, so a
+// handler that throws (an exception or anything else) or returns the
+// wrong number of responses must still answer every popped request
+// exactly once, with Internal, and leave the plane drainable — both for
+// lone pops (batch_max = 1) and for formed batches.
+enum class HandlerFault { kThrowException, kThrowNonException, kWrongCount };
+
+class DispatcherContainmentTest
+    : public ::testing::TestWithParam<std::tuple<size_t, HandlerFault>> {};
+
+TEST_P(DispatcherContainmentTest, EveryTaskAnsweredOnceWithInternal) {
+  const auto [batch_max, fault] = GetParam();
+  DispatcherOptions options;
+  options.read_workers = 1;
+  options.write_workers = 1;
+  options.batch_max = batch_max;
+  options.batch_delay_micros = 20000;  // long linger: batches do form
+  RequestDispatcher dispatcher(
+      options,
+      [fault = fault](const std::vector<const Request*>& requests)
+          -> std::vector<FrontendResponse> {
+        switch (fault) {
+          case HandlerFault::kThrowException:
+            throw std::runtime_error("handler failed");
+          case HandlerFault::kThrowNonException:
+            throw 42;
+          case HandlerFault::kWrongCount:
+            break;
+        }
+        return std::vector<FrontendResponse>(requests.size() + 1);
+      },
+      nullptr);
+
+  constexpr int kTasks = 24;
+  std::mutex mu;
+  std::vector<int> calls(kTasks, 0);
+  std::vector<StatusCode> codes(kTasks, StatusCode::kOk);
+  for (int i = 0; i < kTasks; ++i) {
+    ServerTask task;
+    task.request.type = i % 3 == 0 ? RequestType::kObserve : RequestType::kPredict;
+    task.request.uid = static_cast<uint64_t>(i);
+    task.request.items = {1};
+    task.done = [&mu, &calls, &codes, i](FrontendResponse response) {
+      std::lock_guard<std::mutex> lock(mu);
+      ++calls[i];
+      codes[i] = response.status.code();
+    };
+    ASSERT_TRUE(dispatcher.Submit(std::move(task)));
+  }
+  dispatcher.Drain();  // must return: no popped task is stranded
+
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(calls[i], 1) << "task " << i;
+    EXPECT_EQ(codes[i], StatusCode::kInternal) << "task " << i;
+  }
+  EXPECT_EQ(dispatcher.dispatched(), static_cast<uint64_t>(kTasks));
+  if (batch_max == 1) {
+    EXPECT_EQ(dispatcher.batches_formed(), 0u);
+    EXPECT_EQ(dispatcher.batch_singletons(), static_cast<uint64_t>(kTasks));
+  } else {
+    EXPECT_GT(dispatcher.batches_formed(), 0u);
+  }
+  dispatcher.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LoneAndFormedBatches, DispatcherContainmentTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{8}),
+                       ::testing::Values(HandlerFault::kThrowException,
+                                         HandlerFault::kThrowNonException,
+                                         HandlerFault::kWrongCount)));
 
 }  // namespace
 }  // namespace velox
