@@ -8,7 +8,8 @@
 // delivery pass — O(nodes) messages per cold request — and retries,
 // hedges, and deadlines apply per sub-batch. Two modes face identical
 // request streams:
-//   per_key   each item resolved with its own Get (the old path);
+//   per_key   a loop of per-item Predict calls, each resolving its
+//             item with a one-key MultiGet;
 //   batched   the request's misses coalesced into one MultiGet.
 // Expected shape: batched sends ~B/nodes fewer messages per cold
 // request and holds a lower simulated p99 under message drops (fewer
@@ -130,9 +131,9 @@ void Run() {
       "ablation_batching: per-key vs batched (MultiGet) feature resolution",
       "Velox (CIDR'15) batched storage plane (DESIGN.md §10)",
       "4 nodes, R=2, caches off: every item resolves through storage.\n"
-      "per_key = one Get per item; batched = one MultiGet per request\n"
-      "(one sub-batch message per owning node). Latency is simulated\n"
-      "network time per request (charged_nanos).");
+      "per_key = one Predict (a one-key MultiGet) per item; batched = one\n"
+      "MultiGet per request (one sub-batch message per owning node).\n"
+      "Latency is simulated network time per request (charged_nanos).");
 
   SyntheticMovieLensConfig data_config;
   data_config.num_users = 400;

@@ -1,5 +1,7 @@
 #include "common/stage_trace.h"
 
+#include <sstream>
+
 namespace velox {
 
 const char* StageName(Stage stage) {
@@ -46,6 +48,25 @@ const char* StageName(Stage stage) {
       return "batch_execute";
   }
   return "unknown";
+}
+
+std::string RenderStageBreakdownJson(const std::function<HistogramData(Stage)>& data) {
+  std::ostringstream os;
+  os << "{";
+  bool first = true;
+  for (int s = 0; s < kNumStages; ++s) {
+    Stage stage = static_cast<Stage>(s);
+    HistogramSnapshot snap = data(stage).Summarize();
+    if (snap.count == 0) continue;
+    if (!first) os << ", ";
+    first = false;
+    os << "\"" << StageName(stage) << "\": {\"count\": " << snap.count
+       << ", \"mean_us\": " << snap.mean << ", \"p50_us\": " << snap.p50
+       << ", \"p95_us\": " << snap.p95 << ", \"p99_us\": " << snap.p99
+       << ", \"max_us\": " << snap.max << "}";
+  }
+  os << "}";
+  return os.str();
 }
 
 }  // namespace velox

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/clock.h"
@@ -48,6 +49,12 @@ inline constexpr int kNumStages = 20;
 
 // Short stable identifier used in metrics names and JSON keys.
 const char* StageName(Stage stage);
+
+// JSON object keyed by stage name with count/mean/percentiles in
+// microseconds, one entry per stage that has samples in `data` — the
+// BENCH `stage_breakdown` section, over whichever merged view `data`
+// returns.
+std::string RenderStageBreakdownJson(const std::function<HistogramData(Stage)>& data);
 
 // Per-node sink: one histogram of per-request microseconds per stage.
 class StageRegistry {

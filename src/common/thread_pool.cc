@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
 #include <exception>
 
 #include "common/logging.h"
@@ -140,32 +139,29 @@ Status ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>
   size_t num_tasks = std::min(n, pool->num_threads());
   size_t base = n / num_tasks;
   size_t extra = n % num_tasks;  // first `extra` tasks take one more
-  std::atomic<size_t> remaining{num_tasks};
+  // `remaining` is decremented and `done` signalled under `mu`: the
+  // caller may return (destroying all three) as soon as it observes 0,
+  // so a worker must not touch them after releasing the lock.
+  size_t remaining = num_tasks;
   std::mutex mu;
   std::condition_variable done;
   size_t begin = 0;
   for (size_t t = 0; t < num_tasks; ++t) {
     size_t end = begin + base + (t < extra ? 1 : 0);
-    bool accepted = pool->Submit([&, begin, end] {
+    auto run_and_count = [&, begin, end] {
       run_range(begin, end);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        done.notify_all();
-      }
-    });
-    if (!accepted) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (--remaining == 0) done.notify_all();
+    };
+    if (!pool->Submit(run_and_count)) {
       // Pool is shutting down: run the range on the caller so the loop
       // still covers every index (and the wait below can terminate).
-      run_range(begin, end);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        done.notify_all();
-      }
+      run_and_count();
     }
     begin = end;
   }
   std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return remaining.load() == 0; });
+  done.wait(lock, [&] { return remaining == 0; });
   std::lock_guard<std::mutex> err_lock(err_mu);
   return first_error;
 }

@@ -203,19 +203,6 @@ std::string FeatureResolver::TableForVersion(int32_t version) const {
   return StrFormat("%s_v%d", table_prefix_.c_str(), version);
 }
 
-Result<DenseVector> FeatureResolver::Resolve(const ModelVersion& version,
-                                             const Item& item, bool* served_remote,
-                                             StorageOpReport* report) const {
-  if (served_remote != nullptr) *served_remote = false;
-  if (client_ == nullptr) {
-    return version.features->Features(item);
-  }
-  VELOX_ASSIGN_OR_RETURN(
-      Value bytes,
-      client_->Get(TableForVersion(version.version), item.id, served_remote, report));
-  return DecodeFactor(bytes);
-}
-
 std::vector<Result<DenseVector>> FeatureResolver::ResolveBatch(
     const ModelVersion& version, const std::vector<Item>& items, bool* served_remote,
     StorageOpReport* report) const {

@@ -57,22 +57,15 @@ class FeatureResolver {
   // for the current model version ("<prefix>_v<version>").
   FeatureResolver(StorageClient* client, std::string table_prefix);
 
-  // Resolves features for `item` under `version`. When `served_remote`
-  // is non-null it reports whether the resolution crossed the network
-  // (distributed mode, factor served by a non-origin replica).
-  // `report`, when non-null, receives the storage op trace (attempts,
-  // hedges, simulated backoff) in distributed mode.
-  Result<DenseVector> Resolve(const ModelVersion& version, const Item& item,
-                              bool* served_remote = nullptr,
-                              StorageOpReport* report = nullptr) const;
-
-  // Batched resolve: one Result per item, in input order. Local mode
+  // Resolves features for `items` under `version`: one Result per item,
+  // in input order (a lone item is a batch of one). Local mode
   // evaluates the feature function per item; distributed mode fetches
   // all keys through StorageClient::MultiGet (chunked to respect the
   // per-op deadline), so a batch of B cold items costs O(nodes)
   // sub-batch round trips instead of B. `served_remote` reports
-  // whether any factor crossed the network; `report` accumulates the
-  // storage traces (summed backoff/sim nanos, max attempts).
+  // whether any factor crossed the network (a non-origin replica served
+  // it); `report` accumulates the storage traces (summed backoff/sim
+  // nanos, max attempts).
   std::vector<Result<DenseVector>> ResolveBatch(const ModelVersion& version,
                                                 const std::vector<Item>& items,
                                                 bool* served_remote = nullptr,

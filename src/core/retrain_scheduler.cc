@@ -81,6 +81,30 @@ class IncrementalJob final : public BatchJob {
   RetrainOutput output_;
 };
 
+// Batch publish of a factor table: the driver (node 0) ships `factors`
+// into `table` as chunked MultiPuts — one message per storage node per
+// chunk instead of one per (key, replica). MultiPut itself writes every
+// replica, so reads can still fall back (and hedge) along the whole
+// replica list.
+Status PublishFactors(StorageCluster* storage, const std::string& table,
+                      const FactorMap& factors) {
+  StorageClient driver(storage, 0);
+  std::vector<std::pair<Key, Value>> chunk;
+  chunk.reserve(kDistributeChunk);
+  auto flush = [&]() -> Status {
+    if (chunk.empty()) return Status::OK();
+    std::vector<Status> statuses = driver.MultiPut(table, std::move(chunk));
+    chunk.clear();
+    for (const Status& s : statuses) VELOX_RETURN_NOT_OK(s);
+    return Status::OK();
+  };
+  for (const auto& [key, factor] : factors) {
+    chunk.emplace_back(key, EncodeFactor(factor));
+    if (chunk.size() >= kDistributeChunk) VELOX_RETURN_NOT_OK(flush());
+  }
+  return flush();
+}
+
 }  // namespace
 
 const char* RetrainModeName(RetrainMode mode) {
@@ -339,50 +363,18 @@ Result<RetrainReport> RetrainScheduler::InstallOutput(
     std::string table = StrFormat("%s_v%d", options_.feature_table_prefix.c_str(),
                                   version);
     VELOX_RETURN_NOT_OK(storage_->CreateTable(table));
-    // Batch publish: the driver ships the table as chunked MultiPuts —
-    // one message per storage node per chunk instead of one per
-    // (item, replica). MultiPut itself writes every replica, so reads
-    // can still fall back (and hedge) along the whole replica list.
-    StorageClient driver(storage_, 0);
-    std::vector<std::pair<Key, Value>> chunk;
-    chunk.reserve(kDistributeChunk);
-    auto flush = [&]() -> Status {
-      if (chunk.empty()) return Status::OK();
-      std::vector<Status> statuses = driver.MultiPut(table, std::move(chunk));
-      chunk.clear();
-      for (const Status& s : statuses) VELOX_RETURN_NOT_OK(s);
-      return Status::OK();
-    };
-    for (const auto& [item_id, factor] : materialized->table()) {
-      chunk.emplace_back(item_id, EncodeFactor(factor));
-      if (chunk.size() >= kDistributeChunk) VELOX_RETURN_NOT_OK(flush());
-    }
-    VELOX_RETURN_NOT_OK(flush());
+    VELOX_RETURN_NOT_OK(PublishFactors(storage_, table, materialized->table()));
   }
 
   // 3b. Publish the new W into the replicated user-weights table the
-  //     failover recovery path reads. Same chunked-MultiPut shape as
-  //     the feature table: without this write, a user who never saw an
-  //     online update after the swap has no persisted weights, and a
-  //     node crash would lose their retrained vector.
+  //     failover recovery path reads, the same way: without this write,
+  //     a user who never saw an online update after the swap has no
+  //     persisted weights, and a node crash would lose their retrained
+  //     vector.
   if (options_.persist_user_weights && !options_.user_weights_table.empty() &&
       !output.user_weights.empty()) {
-    StorageClient driver(storage_, 0);
-    std::vector<std::pair<Key, Value>> chunk;
-    chunk.reserve(kDistributeChunk);
-    auto flush_weights = [&]() -> Status {
-      if (chunk.empty()) return Status::OK();
-      std::vector<Status> statuses =
-          driver.MultiPut(options_.user_weights_table, std::move(chunk));
-      chunk.clear();
-      for (const Status& s : statuses) VELOX_RETURN_NOT_OK(s);
-      return Status::OK();
-    };
-    for (const auto& [uid, w] : output.user_weights) {
-      chunk.emplace_back(uid, EncodeFactor(w));
-      if (chunk.size() >= kDistributeChunk) VELOX_RETURN_NOT_OK(flush_weights());
-    }
-    VELOX_RETURN_NOT_OK(flush_weights());
+    VELOX_RETURN_NOT_OK(
+        PublishFactors(storage_, options_.user_weights_table, output.user_weights));
   }
 
   // 4. Swap-time invalidation: the offline phase "invalidates both

@@ -601,22 +601,7 @@ VeloxServer::AnnServeStats VeloxServer::AggregatedAnnStats() const {
 }
 
 std::string VeloxServer::StageBreakdownJson() const {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (int s = 0; s < kNumStages; ++s) {
-    Stage stage = static_cast<Stage>(s);
-    HistogramSnapshot snap = StageData(stage).Summarize();
-    if (snap.count == 0) continue;
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << StageName(stage) << "\": {\"count\": " << snap.count
-       << ", \"mean_us\": " << snap.mean << ", \"p50_us\": " << snap.p50
-       << ", \"p95_us\": " << snap.p95 << ", \"p99_us\": " << snap.p99
-       << ", \"max_us\": " << snap.max << "}";
-  }
-  os << "}";
-  return os.str();
+  return RenderStageBreakdownJson([this](Stage stage) { return StageData(stage); });
 }
 
 void VeloxServer::ResetStageStats() {

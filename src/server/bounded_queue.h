@@ -59,22 +59,6 @@ class BoundedQueue {
     return true;
   }
 
-  // Non-blocking batch pop: drains up to `max` items in one lock
-  // acquisition, appending to `*out`. Every popped item counts as in
-  // flight until the caller invokes MarkDone() once per item. Returns
-  // the number of items popped (0 when the queue is empty or max is 0).
-  size_t TryPopMany(std::vector<T>* out, size_t max) {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t popped = 0;
-    while (popped < max && !queue_.empty()) {
-      out->push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      ++in_flight_;
-      ++popped;
-    }
-    return popped;
-  }
-
   // Batch-formation drain: pops up to `max` items, waiting at most
   // `linger_nanos` (total) for stragglers to arrive while fewer than
   // `max` are in hand. Unlike Pop this never blocks indefinitely — a

@@ -25,10 +25,6 @@ Status KvTable::Put(Key key, Value value) {
   return Status::OK();
 }
 
-Status KvTable::Delete(Key key) {
-  return partitions_[static_cast<size_t>(partitioner_.PartitionForKey(key))]->Delete(key);
-}
-
 std::vector<Result<Value>> KvTable::MultiGet(const std::vector<Key>& keys) const {
   std::vector<Result<Value>> out;
   out.reserve(keys.size());
@@ -36,11 +32,10 @@ std::vector<Result<Value>> KvTable::MultiGet(const std::vector<Key>& keys) const
   return out;
 }
 
-std::vector<Status> KvTable::MultiPut(
-    const std::vector<std::pair<Key, Value>>& entries) {
+std::vector<Status> KvTable::MultiPut(std::vector<std::pair<Key, Value>> entries) {
   std::vector<Status> out;
   out.reserve(entries.size());
-  for (const auto& [key, value] : entries) out.push_back(Put(key, value));
+  for (auto& [key, value] : entries) out.push_back(Put(key, std::move(value)));
   return out;
 }
 

@@ -31,7 +31,6 @@ class KvTable {
   // rejecting writes — replica-write callers must check this or
   // replicas silently diverge.
   Status Put(Key key, Value value);
-  Status Delete(Key key);
   bool Contains(Key key) const;
 
   // Batched point lookups: one Result per input key, in input order
@@ -41,7 +40,7 @@ class KvTable {
   // Batched upserts: one Status per input entry, in input order.
   // Entries fail individually (Unavailable) while the table is
   // rejecting writes.
-  std::vector<Status> MultiPut(const std::vector<std::pair<Key, Value>>& entries);
+  std::vector<Status> MultiPut(std::vector<std::pair<Key, Value>> entries);
 
   // Simulates a wedged replica (disk full, read-only remount): reads
   // keep working, writes fail until cleared.

@@ -18,14 +18,6 @@ void Partition::Put(Key key, Value value) {
   map_[key] = std::move(value);
 }
 
-Status Partition::Delete(Key key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (map_.erase(key) == 0) {
-    return Status::NotFound(StrFormat("key %llu", static_cast<unsigned long long>(key)));
-  }
-  return Status::OK();
-}
-
 bool Partition::Contains(Key key) const {
   std::lock_guard<std::mutex> lock(mu_);
   return map_.count(key) > 0;

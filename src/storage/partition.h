@@ -26,8 +26,6 @@ class Partition {
   Result<Value> Get(Key key) const;
   // Inserts or overwrites.
   void Put(Key key, Value value);
-  // Returns NotFound if absent.
-  Status Delete(Key key);
   bool Contains(Key key) const;
 
   // Invokes fn(key, value) for every entry under the partition lock;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <unordered_map>
 
@@ -13,11 +12,11 @@ namespace velox {
 
 namespace {
 
-// Fixed framing overhead modeled per batched message (request or
-// response): routing header, table name, key count. Small enough that
-// a one-key batch costs about the same as a single-key op, large
-// enough that the per-message saving of batching is the latency
-// header, not the framing.
+// Fixed framing overhead modeled per message (request or response):
+// routing header, table name, key count. Every op pays it, a lone
+// Get/Put included (about 13 simulated ns at the default 0.8 ns/B);
+// the per-message saving of batching is the latency header, not the
+// framing.
 constexpr uint64_t kBatchHeaderBytes = 16;
 
 }  // namespace
@@ -46,195 +45,18 @@ int64_t StorageClient::BackoffNanos(int32_t attempt) {
 
 Result<Value> StorageClient::Get(const std::string& table, Key key, bool* was_remote,
                                  StorageOpReport* report) {
-  // Error paths must never leave the caller's flag indeterminate.
-  if (was_remote != nullptr) *was_remote = false;
-  StorageOpReport scratch;
-  StorageOpReport* rep = report != nullptr ? report : &scratch;
-  *rep = StorageOpReport{};
-
-  VELOX_ASSIGN_OR_RETURN(std::vector<NodeId> owners, cluster_->OwnersOf(key));
-  SimulatedNetwork* net = cluster_->network();
-  const int64_t deadline = options_.op_deadline_nanos;
-  const int64_t fail_wait = net->fault_timeout_nanos();
-  int64_t spent = 0;
-
-  // Hedge-aware serving order: the primary goes first unless its
-  // projected round trip loses to "wait hedge_delay, then race replica
-  // i". A fired hedge abandons the in-flight primary request (still
-  // counted as wire traffic) and serves from the raced replica;
-  // everything else stays in the fallback order.
-  std::vector<size_t> order(owners.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  size_t hedge_target = 0;
-  if (options_.hedge_reads && owners.size() > 1) {
-    const int64_t primary_rtt = 2 * net->CostNanos(origin_, owners[0], sizeof(Key));
-    int64_t best_rtt = primary_rtt;
-    for (size_t i = 1; i < owners.size(); ++i) {
-      int64_t rtt = options_.hedge_delay_nanos +
-                    2 * net->CostNanos(origin_, owners[i], sizeof(Key));
-      if (rtt < best_rtt) {
-        best_rtt = rtt;
-        hedge_target = i;
-      }
-    }
-    if (hedge_target != 0) {
-      std::rotate(order.begin(), order.begin() + static_cast<ptrdiff_t>(hedge_target),
-                  order.begin() + static_cast<ptrdiff_t>(hedge_target) + 1);
-      hedged_reads_.fetch_add(1, std::memory_order_relaxed);
-      rep->hedged = true;
-      // The client waited out the hedge delay before racing, and the
-      // abandoned primary request still occupies the wire.
-      net->ChargeWait(options_.hedge_delay_nanos);
-      net->ChargeAbandoned(origin_, owners[0], sizeof(Key));
-      backoff_nanos_.fetch_add(options_.hedge_delay_nanos, std::memory_order_relaxed);
-      rep->backoff_nanos += options_.hedge_delay_nanos;
-      spent += options_.hedge_delay_nanos;
-    }
-  }
-
-  Status last = Status::NotFound("no replica produced the key");
-  const int32_t max_attempts = std::max(1, options_.max_attempts);
-  for (int32_t attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      int64_t wait = BackoffNanos(attempt);
-      if (deadline > 0 && spent + wait > deadline) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-        rep->deadline_missed = true;
-        rep->sim_nanos = spent;
-        return Status::Unavailable("storage get: deadline exceeded before retry");
-      }
-      net->ChargeWait(wait);
-      backoff_nanos_.fetch_add(wait, std::memory_order_relaxed);
-      rep->backoff_nanos += wait;
-      spent += wait;
-      retries_.fetch_add(1, std::memory_order_relaxed);
-    }
-    rep->attempts = attempt + 1;
-
-    bool transient = false;
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      NodeId owner = owners[order[pos]];
-      // Request message, then the response payload on success.
-      Result<int64_t> sent = net->TryCharge(origin_, owner, sizeof(Key));
-      if (!sent.ok()) {
-        transient = true;
-        last = sent.status();
-        spent += fail_wait;
-        continue;
-      }
-      spent += sent.value();
-      auto t = cluster_->store(owner)->GetTable(table);
-      if (!t.ok()) {
-        last = t.status();  // definitive: the node answered
-        continue;
-      }
-      auto value = t.value()->Get(key);
-      if (!value.ok()) {
-        last = value.status();  // definitive miss on this replica
-        continue;
-      }
-      Result<int64_t> resp = net->TryCharge(owner, origin_, value.value().size());
-      if (!resp.ok()) {
-        // The replica served it, but the response was lost in flight.
-        transient = true;
-        last = resp.status();
-        spent += fail_wait;
-        continue;
-      }
-      spent += resp.value();
-      if (order[pos] != 0) {
-        if (rep->hedged && order[pos] == hedge_target) {
-          hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          failovers_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      if (was_remote != nullptr) *was_remote = owner != origin_;
-      rep->sim_nanos = spent;
-      return value;
-    }
-
-    if (!transient) {
-      // Every replica gave a definitive answer; retrying cannot help.
-      rep->sim_nanos = spent;
-      return last;
-    }
-    if (deadline > 0 && spent >= deadline) {
-      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      rep->deadline_missed = true;
-      rep->sim_nanos = spent;
-      return Status::Unavailable("storage get: deadline exceeded");
-    }
-  }
-  rep->sim_nanos = spent;
-  return last;
+  MultiGetResult got = MultiGet(table, {key});
+  // any_remote is false on every error path, so the caller's flag is
+  // never left indeterminate.
+  if (was_remote != nullptr) *was_remote = got.any_remote;
+  if (report != nullptr) *report = got.report;
+  return std::move(got.values.front());
 }
 
 Status StorageClient::Put(const std::string& table, Key key, Value value) {
-  VELOX_ASSIGN_OR_RETURN(std::vector<NodeId> owners, cluster_->OwnersOf(key));
-  SimulatedNetwork* net = cluster_->network();
-  const int64_t deadline = options_.op_deadline_nanos;
-  const int64_t fail_wait = net->fault_timeout_nanos();
-  const uint64_t payload = sizeof(Key) + value.size();
-  int64_t spent = 0;
-
-  Status first_error;
-  Status last_transient;
-  size_t succeeded = 0;
-  std::vector<NodeId> pending = std::move(owners);
-  const int32_t max_attempts = std::max(1, options_.max_attempts);
-  for (int32_t attempt = 0; attempt < max_attempts && !pending.empty(); ++attempt) {
-    if (attempt > 0) {
-      int64_t wait = BackoffNanos(attempt);
-      if (deadline > 0 && spent + wait > deadline) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      net->ChargeWait(wait);
-      backoff_nanos_.fetch_add(wait, std::memory_order_relaxed);
-      spent += wait;
-      retries_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::vector<NodeId> still_pending;
-    for (NodeId owner : pending) {
-      Result<int64_t> sent = net->TryCharge(origin_, owner, payload);
-      if (!sent.ok()) {
-        last_transient = sent.status();
-        spent += fail_wait;
-        still_pending.push_back(owner);
-        continue;
-      }
-      spent += sent.value();
-      auto t = cluster_->store(owner)->GetTable(table);
-      if (!t.ok()) {
-        if (first_error.ok()) first_error = t.status();
-        continue;  // definitive: no point retrying a missing table
-      }
-      Status put = t.value()->Put(key, value);
-      if (!put.ok()) {
-        // A replica refusing the write is a real failure; swallowing it
-        // (the old behavior) let replicas silently diverge.
-        if (first_error.ok()) first_error = put;
-        continue;
-      }
-      ++succeeded;
-    }
-    pending = std::move(still_pending);
-    if (deadline > 0 && spent >= deadline && !pending.empty()) {
-      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-  }
-
-  if (!pending.empty() && first_error.ok()) {
-    first_error = last_transient.ok()
-                      ? Status::Unavailable("replica unreachable for write")
-                      : last_transient;
-  }
-  if (!first_error.ok() && succeeded > 0) {
-    partial_writes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return first_error;
+  std::vector<std::pair<Key, Value>> entries;
+  entries.emplace_back(key, std::move(value));
+  return MultiPut(table, std::move(entries)).front();
 }
 
 MultiGetResult StorageClient::MultiGet(const std::string& table,
@@ -581,7 +403,7 @@ std::vector<Status> StorageClient::MultiPut(
       std::vector<std::pair<Key, Value>> batch;
       batch.reserve(members.size());
       for (size_t e : members) batch.push_back(entries[e]);
-      std::vector<Status> put = t.value()->MultiPut(batch);
+      std::vector<Status> put = t.value()->MultiPut(std::move(batch));
       for (size_t i = 0; i < members.size(); ++i) {
         Ent& ent = ents[members[i]];
         if (put[i].ok()) {
@@ -615,28 +437,6 @@ std::vector<Status> StorageClient::MultiPut(
     statuses[e] = s;
   }
   return statuses;
-}
-
-Status StorageClient::Delete(const std::string& table, Key key) {
-  VELOX_ASSIGN_OR_RETURN(std::vector<NodeId> owners, cluster_->OwnersOf(key));
-  // Best-effort single pass: deletes are rare control-plane operations
-  // (table GC), so they skip the retry machinery; an unreachable
-  // replica surfaces as Unavailable unless another replica held the key.
-  bool deleted = false;
-  bool transient = false;
-  for (NodeId owner : owners) {
-    Result<int64_t> sent = cluster_->network()->TryCharge(origin_, owner, sizeof(Key));
-    if (!sent.ok()) {
-      transient = true;
-      continue;
-    }
-    auto t = cluster_->store(owner)->GetTable(table);
-    if (!t.ok()) continue;
-    if (t.value()->Delete(key).ok()) deleted = true;
-  }
-  if (deleted) return Status::OK();
-  if (transient) return Status::Unavailable("replica unreachable for delete");
-  return Status::NotFound("key absent on all replicas");
 }
 
 uint64_t StorageClient::AppendObservation(const Observation& obs) {

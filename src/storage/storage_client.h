@@ -16,6 +16,11 @@
 // second replica when the primary's projected round trip exceeds the
 // hedge delay plus the secondary's. Definitive answers (NotFound, a
 // missing table) are never retried.
+//
+// That policy has one implementation per direction: MultiGet for reads
+// and MultiPut for writes. A lone Get is a MultiGet of one key and a
+// lone Put a MultiPut of one entry, so they share every counter
+// (storage.multiget.* / storage.multiput.* included) and every rule.
 #ifndef VELOX_STORAGE_STORAGE_CLIENT_H_
 #define VELOX_STORAGE_STORAGE_CLIENT_H_
 
@@ -116,38 +121,31 @@ class StorageClient {
   NodeId origin() const { return origin_; }
   const StorageClientOptions& options() const { return options_; }
 
-  // Reads `key` from its primary owner, falling back along the replica
-  // list (replication_factor > 1) when a replica misses or is gone,
-  // hedging to a faster replica when the primary is slow, and retrying
-  // transient delivery failures under the op deadline. When
-  // `was_remote` is non-null it reports whether the replica that
-  // served the read lives on a different node than the origin (i.e.
-  // the read paid a network round-trip) — stage tracing uses this to
-  // split local vs. remote feature resolution. It is always assigned,
-  // false on every error path, so callers never read an indeterminate
-  // flag. `report`, when non-null, receives the op trace.
+  // MultiGet of the one key `key`. When `was_remote` is non-null it
+  // receives the batch's any_remote: whether the replica that served
+  // the read lives on a different node than the origin (i.e. the read
+  // paid a network round-trip) — stage tracing uses this to split local
+  // vs. remote feature resolution. It is always assigned, false on
+  // every error path. `report`, when non-null, receives the op trace.
   Result<Value> Get(const std::string& table, Key key, bool* was_remote = nullptr,
                     StorageOpReport* report = nullptr);
-  // Writes `key` to every replica owner, retrying transiently failed
-  // replicas under the op deadline. Returns the first error when any
-  // replica ultimately failed (and counts a partial write if at least
-  // one replica took the value).
+  // MultiPut of the one entry (key, value); returns its status.
   Status Put(const std::string& table, Key key, Value value);
-  // Deletes from every reachable replica; OK if any replica held the key.
-  Status Delete(const std::string& table, Key key);
 
   // Batched read of `keys`. Keys are grouped by owning replica via the
   // ring and each group travels as ONE sub-batch message per node per
   // delivery pass (one header charge + summed payload bytes), so a
   // B-key cold read costs O(nodes) round trips instead of O(B).
   // Duplicate keys are merged into a single fetch (multiget.
-  // merged_misses). Per-key semantics match Get exactly: a key missing
-  // on one replica falls over to the next within the pass; retries
-  // after backoff re-shard only the still-missing keys; whole
-  // sub-batches (never individual keys) are hedged to the replica set
-  // when the target node is projected slow; the op-wide deadline
-  // converts the remaining keys to Unavailable. Results are positional
-  // and partial: each key carries its own value or status.
+  // merged_misses). A key missing on one replica falls over to the
+  // next within the pass (replica order 0, 1, 2, ...); retries after
+  // backoff re-shard only the still-missing keys; whole sub-batches
+  // (never individual keys) are hedged when the target node is
+  // projected slower than "wait hedge_delay, then ask another replica":
+  // a hedged key races its replica 1 and then falls back in the order
+  // 1, 2, ..., 0. The op-wide deadline converts the remaining keys to
+  // Unavailable. Results are positional and partial: each key carries
+  // its own value or status.
   MultiGetResult MultiGet(const std::string& table, const std::vector<Key>& keys);
 
   // Batched write: every entry goes to all its replica owners, grouped

@@ -106,8 +106,11 @@ Status WriteAheadLog::AppendPayload(const std::vector<uint8_t>& payload) {
 
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return Status::FailedPrecondition("wal closed");
+  // An empty payload has no data pointer to hand fwrite; its header
+  // alone is the record.
   if (std::fwrite(header.data().data(), 1, header.size(), file_) != header.size() ||
-      std::fwrite(payload.data(), 1, payload.size(), file_) != payload.size()) {
+      (!payload.empty() &&
+       std::fwrite(payload.data(), 1, payload.size(), file_) != payload.size())) {
     return Status::IoError("wal append failed: " + path_);
   }
   if (group_depth_ > 0) {

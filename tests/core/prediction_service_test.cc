@@ -288,14 +288,16 @@ TEST(FeatureResolverTest, DistributedResolveFetchesFromStorage) {
   FeatureResolver resolver(&reader, "feat");
   ModelVersion version;
   version.version = 1;
-  Item item;
-  item.id = 7;
-  auto features = resolver.Resolve(version, item);
-  ASSERT_TRUE(features.ok());
-  EXPECT_EQ(features.value(), (DenseVector{4.0, 5.0}));
+  Item present;
+  present.id = 7;
+  Item missing;
+  missing.id = 99;
+  auto features = resolver.ResolveBatch(version, {present, missing});
+  ASSERT_EQ(features.size(), 2u);
+  ASSERT_TRUE(features[0].ok());
+  EXPECT_EQ(features[0].value(), (DenseVector{4.0, 5.0}));
   // Missing item -> NotFound.
-  item.id = 99;
-  EXPECT_TRUE(resolver.Resolve(version, item).status().IsNotFound());
+  EXPECT_TRUE(features[1].status().IsNotFound());
 }
 
 }  // namespace

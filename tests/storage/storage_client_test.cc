@@ -83,15 +83,6 @@ TEST(StorageClientTest, UnknownTableIsNotFound) {
   EXPECT_TRUE(client.Put("missing", 1, Payload(1)).IsNotFound());
 }
 
-TEST(StorageClientTest, DeleteRemovesFromOwner) {
-  StorageCluster cluster(SmallCluster(2));
-  ASSERT_TRUE(cluster.CreateTable("t").ok());
-  StorageClient client(&cluster, 0);
-  ASSERT_TRUE(client.Put("t", 5, Payload(1)).ok());
-  ASSERT_TRUE(client.Delete("t", 5).ok());
-  EXPECT_TRUE(client.Get("t", 5).status().IsNotFound());
-}
-
 TEST(StorageClientTest, SingleNodeTrafficIsAllLocal) {
   StorageCluster cluster(SmallCluster(1));
   ASSERT_TRUE(cluster.CreateTable("t").ok());
@@ -187,6 +178,12 @@ TEST(StorageClientTest, OpReportCountsAttempts) {
   EXPECT_FALSE(report.deadline_missed);
   EXPECT_EQ(report.backoff_nanos, 0);
   EXPECT_GT(report.sim_nanos, 0);
+  // A lone Put and a lone Get each ran as one batch of one key.
+  StorageClientStats stats = client.stats();
+  EXPECT_EQ(stats.multiput_batches, 1u);
+  EXPECT_EQ(stats.multiput_keys, 1u);
+  EXPECT_EQ(stats.multiget_batches, 1u);
+  EXPECT_EQ(stats.multiget_keys, 1u);
 }
 
 TEST(StorageClientTest, ObservationsAppendToOriginShard) {
