@@ -1,11 +1,14 @@
 // Google-benchmark microbenchmarks of the serving-path kernels: the
 // Eq. 1 dot product, feature-function evaluation, Eq. 2 solves (naive
-// Cholesky vs Sherman–Morrison), cache operations, and the storage
-// codec. These are the primitives whose costs compose into Figures 3
-// and 4; keeping them visible guards against performance regressions.
+// Cholesky vs Sherman–Morrison), cache operations, the storage codec,
+// and one candidate topK through VeloxServer. These are the primitives
+// whose costs compose into Figures 3 and 4; keeping them visible guards
+// against performance regressions.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "common/lru.h"
@@ -13,6 +16,8 @@
 #include "core/feature_cache.h"
 #include "core/prediction_cache.h"
 #include "core/prediction_service.h"
+#include "core/velox_server.h"
+#include "data/movielens.h"
 #include "linalg/cholesky.h"
 #include "linalg/ridge.h"
 #include "linalg/scoring_kernels.h"
@@ -192,9 +197,8 @@ BENCHMARK(BM_FactorCodecRoundTrip)->Arg(10)->Arg(100)->Arg(1000);
 // (DESIGN.md §15): queue push/pop, batch formation, and callback
 // completion isolated from handler work by a no-op handler. Arg = the
 // dispatcher's batch_max; 1 is singleton dispatch (every pop a batch of
-// one through the same handler). The plane's own
-// overhead is nanoseconds and stays flat across batch sizes — the row
-// pins that batching costs nothing at the queue layer; the wall-clock
+// one through the same handler). The plane's own overhead is well
+// under a microsecond per request at every batch size; the wall-clock
 // win comes from what one batched *handler* call amortizes (WAL group
 // commit, coalesced feature MultiGet), measured end-to-end by
 // serving_load's batch-singleton / batch-batched sweep.
@@ -226,6 +230,63 @@ void BM_DispatchBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kWave));
 }
 BENCHMARK(BM_DispatchBatched)->Arg(1)->Arg(8)->Arg(64);
+
+// One candidate topK through VeloxServer::TopK with the server's
+// default LinUCB policy, in-process θ (d = 10) and warm caches, for a
+// user with solver state — the per-request CPU of the topK path:
+// weight lookup, feature-cache hits, scoring, the uncertainties,
+// stale-board writes and the rank. Arg = candidates per request; k = 10.
+struct CandidateTopKSetup {
+  std::unique_ptr<VeloxServer> server;
+  uint64_t uid = 0;
+  std::vector<Item> catalog;  // rated items, ascending id
+};
+
+const CandidateTopKSetup& TopKSetup() {
+  static const CandidateTopKSetup setup = [] {
+    SyntheticMovieLensConfig data_config;
+    data_config.num_users = 300;
+    data_config.num_items = 1000;
+    data_config.seed = 11;
+    SyntheticDataset data = GenerateSyntheticMovieLens(data_config).value();
+    VeloxServerConfig config;  // one node, d = 10, linucb:0.5, in-process θ
+    config.topk_scan_threads = 1;
+    config.evaluator.min_observations = 1'000'000'000;  // no auto retrain
+    AlsConfig als;
+    als.iterations = 5;
+    CandidateTopKSetup out;
+    out.server = std::make_unique<VeloxServer>(
+        config, std::make_unique<MatrixFactorizationModel>("bench", als));
+    VELOX_CHECK_OK(out.server->Bootstrap(data.ratings));
+    std::set<uint64_t> rated;
+    for (const Observation& obs : data.ratings) rated.insert(obs.item_id);
+    for (uint64_t id : rated) {
+      Item item;
+      item.id = id;
+      out.catalog.push_back(item);
+    }
+    out.uid = data.ratings.front().uid;
+    for (size_t i = 0; i < 8; ++i) {
+      VELOX_CHECK_OK(out.server->Observe(out.uid, out.catalog[i], 4.0));
+    }
+    return out;
+  }();
+  return setup;
+}
+
+void BM_CandidateTopK(benchmark::State& state) {
+  const CandidateTopKSetup& setup = TopKSetup();
+  const size_t n = static_cast<size_t>(state.range(0));
+  VELOX_CHECK_LE(n, setup.catalog.size());
+  std::vector<Item> candidates(setup.catalog.begin(), setup.catalog.begin() + n);
+  VELOX_CHECK_OK(setup.server->TopK(setup.uid, candidates, 10).status());  // warm
+  for (auto _ : state) {
+    auto top = setup.server->TopK(setup.uid, candidates, 10);
+    benchmark::DoNotOptimize(top);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_CandidateTopK)->Arg(50)->Arg(200);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(1'000'000, 1.0);

@@ -53,7 +53,7 @@ int64_t SimulatedNetwork::Charge(NodeId from, NodeId to, uint64_t bytes) {
   return cost;
 }
 
-int64_t SimulatedNetwork::ChargeFailure(NodeId from, NodeId to, uint64_t bytes,
+int64_t SimulatedNetwork::ChargeFailure(uint64_t bytes,
                                         std::atomic<uint64_t>* outcome_counter) {
   // The message was sent (it costs wire bytes) but never answered; the
   // sender burns its full patience waiting.
@@ -74,7 +74,7 @@ Result<int64_t> SimulatedNetwork::TryCharge(NodeId from, NodeId to, uint64_t byt
   {
     std::lock_guard<std::mutex> lock(fault_mu_);
     if (partitions_.count(OrderedPair(from, to)) > 0) {
-      ChargeFailure(from, to, bytes, &dropped_messages_);
+      ChargeFailure(bytes, &dropped_messages_);
       return Status::Unavailable("network partition between nodes");
     }
     if (faults_enabled_) {
@@ -82,12 +82,12 @@ Result<int64_t> SimulatedNetwork::TryCharge(NodeId from, NodeId to, uint64_t byt
       auto link = link_drop_.find({from, to});
       if (link != link_drop_.end()) drop_p = link->second;
       if (drop_p > 0.0 && fault_rng_.Bernoulli(drop_p)) {
-        ChargeFailure(from, to, bytes, &dropped_messages_);
+        ChargeFailure(bytes, &dropped_messages_);
         return Status::Unavailable("message dropped");
       }
       if (faults_.timeout_probability > 0.0 &&
           fault_rng_.Bernoulli(faults_.timeout_probability)) {
-        ChargeFailure(from, to, bytes, &timed_out_messages_);
+        ChargeFailure(bytes, &timed_out_messages_);
         return Status::Unavailable("response timed out");
       }
     }

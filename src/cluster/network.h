@@ -152,8 +152,7 @@ class SimulatedNetwork {
 
  private:
   // Charged nanos for a failed delivery; also advances the clock.
-  int64_t ChargeFailure(NodeId from, NodeId to, uint64_t bytes,
-                        std::atomic<uint64_t>* outcome_counter);
+  int64_t ChargeFailure(uint64_t bytes, std::atomic<uint64_t>* outcome_counter);
   double SlowdownFor(NodeId from, NodeId to) const;
 
   NetworkOptions options_;

@@ -7,6 +7,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "cluster/router.h"
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -266,8 +267,7 @@ PredictionService::PredictionService(PredictionServiceOptions options,
       bootstrapper_(bootstrapper),
       feature_cache_(feature_cache),
       prediction_cache_(prediction_cache),
-      resolver_(std::move(resolver)),
-      stale_scores_(std::max<size_t>(1, options.stale_score_capacity)) {
+      resolver_(std::move(resolver)) {
   VELOX_CHECK(registry_ != nullptr);
   VELOX_CHECK(weights_ != nullptr);
   VELOX_CHECK(bootstrapper_ != nullptr);
@@ -472,21 +472,70 @@ size_t PredictionService::WarmFeatures(const ModelVersion& version,
   return warmed;
 }
 
-void PredictionService::NoteScore(uint64_t uid, uint64_t item_id, double score) {
-  if (!options_.degrade_on_unavailable) return;
-  stale_scores_.Put(PredictionKey{uid, item_id, 0, 0}, score);
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  score_sum_ += score;
-  ++score_count_;
+size_t StaleScoreBoard::SlotOf(uint64_t uid, uint64_t item_id) {
+  return static_cast<size_t>(
+      HashPartitioner::MixHash(uid ^ HashPartitioner::MixHash(item_id)) & (kSlots - 1));
 }
 
-ScoredItem PredictionService::DegradedAnswer(uint64_t uid, uint64_t item_id,
-                                             StageTimer& timer) {
+void StaleScoreBoard::Put(uint64_t uid, uint64_t item_id, double score) {
+  const size_t s = SlotOf(uid, item_id);
+  std::lock_guard<std::mutex> lock(mus_[s % kStripes]);
+  slots_[s] = Slot{uid, item_id, score, true};
+}
+
+std::optional<double> StaleScoreBoard::Get(uint64_t uid, uint64_t item_id) const {
+  const size_t s = SlotOf(uid, item_id);
+  std::lock_guard<std::mutex> lock(mus_[s % kStripes]);
+  const Slot& slot = slots_[s];
+  if (!slot.filled || slot.uid != uid || slot.item_id != item_id) return std::nullopt;
+  return slot.score;
+}
+
+void PredictionService::NoteScores(uint64_t uid, const std::vector<size_t>& pos,
+                                   std::vector<ScoredItem>& out, StageTimer& timer) {
+  if (!options_.degrade_on_unavailable) return;
+  // Board pass: computed scores land on the board in item order, and a
+  // degraded item reads its slot as of its position.
+  std::vector<size_t> mean_rung;
+  for (size_t i : pos) {
+    ScoredItem& item = out[i];
+    if (!item.degraded) {
+      stale_scores_.Put(uid, item.item_id, item.score);
+      continue;
+    }
+    StageTimer::Scope span(timer, Stage::kDegradedServe);
+    std::optional<double> stale = stale_scores_.Get(uid, item.item_id);
+    if (stale.has_value()) {
+      item.score = *stale;
+      degraded_stale_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      mean_rung.push_back(i);
+      degraded_mean_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // Mean pass: one acquisition feeds every computed score in item order;
+  // a mean-rung item gets the mean of everything noted before it.
+  std::lock_guard<std::mutex> lock(fallback_mu_);
+  auto next_mean = mean_rung.begin();
+  for (size_t i : pos) {
+    ScoredItem& item = out[i];
+    if (!item.degraded) {
+      score_sum_ += item.score;
+      ++score_count_;
+    } else if (next_mean != mean_rung.end() && *next_mean == i) {
+      item.score = FallbackScoreLocked();
+      ++next_mean;
+    }
+  }
+}
+
+ScoredItem PredictionService::ShedAnswer(uint64_t uid, uint64_t item_id) {
+  StageTimer timer(stages_);
   StageTimer::Scope span(timer, Stage::kDegradedServe);
   ScoredItem out;
   out.item_id = item_id;
   out.degraded = true;
-  auto stale = stale_scores_.Get(PredictionKey{uid, item_id, 0, 0});
+  std::optional<double> stale = stale_scores_.Get(uid, item_id);
   if (stale.has_value()) {
     out.score = *stale;
     degraded_stale_.fetch_add(1, std::memory_order_relaxed);
@@ -497,11 +546,6 @@ ScoredItem PredictionService::DegradedAnswer(uint64_t uid, uint64_t item_id,
   return out;
 }
 
-ScoredItem PredictionService::ShedAnswer(uint64_t uid, uint64_t item_id) {
-  StageTimer timer(stages_);
-  return DegradedAnswer(uid, item_id, timer);
-}
-
 Result<ScoredItem> PredictionService::Predict(uint64_t uid, const Item& item) {
   VELOX_ASSIGN_OR_RETURN(std::vector<ScoredItem> scored, PredictBatch(uid, {item}));
   return scored.front();
@@ -509,56 +553,64 @@ Result<ScoredItem> PredictionService::Predict(uint64_t uid, const Item& item) {
 
 Result<std::vector<ScoredItem>> PredictionService::PredictBatch(
     uint64_t uid, const std::vector<Item>& items) {
-  std::vector<ScoredItem> out(items.size());
-  if (items.empty()) return out;
+  if (items.empty()) return std::vector<ScoredItem>();
   StageTimer timer(stages_);
   VELOX_ASSIGN_OR_RETURN(std::shared_ptr<const ModelVersion> version,
                          registry_->Current());
+  return ScoreItems(*version, uid, items, /*with_uncertainty=*/false, timer);
+}
+
+Result<std::vector<ScoredItem>> PredictionService::ScoreItems(
+    const ModelVersion& version, uint64_t uid, const std::vector<Item>& items,
+    bool with_uncertainty, StageTimer& timer) {
+  std::vector<ScoredItem> scored(items.size());
   StageTimer::Scope lookup(timer, Stage::kUserWeightLookup);
+  uint64_t epoch = 0;
   DenseVector weights =
-      weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights());
-  uint64_t epoch = weights_->Epoch(uid);
+      weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights(), &epoch);
   lookup.Stop();
 
-  // Phase 1: one prediction-cache probe per item, exactly like the
-  // per-key path.
-  std::vector<std::optional<double>> cached_scores(items.size());
-  if (options_.use_prediction_cache) {
+  // Phase 1: one prediction-cache probe per item. Uncertainty mode
+  // resolves every item's features anyway, so a hit there would save
+  // only the dot product; it skips the cache.
+  const bool use_cache = options_.use_prediction_cache && !with_uncertainty;
+  std::vector<std::optional<double>> cached(items.size());
+  if (use_cache) {
     StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
     for (size_t i = 0; i < items.size(); ++i) {
-      cached_scores[i] =
-          prediction_cache_->Get(PredictionKey{uid, items[i].id, epoch,
-                                               version->version});
+      cached[i] =
+          prediction_cache_->Get(PredictionKey{uid, items[i].id, epoch, version.version});
     }
   }
 
-  // Phase 2: the misses resolve features through the coalescer — one
-  // batched storage fetch for the whole request, duplicates merged.
-  std::vector<Item> to_score;
-  std::vector<size_t> score_pos;
+  // Phase 2: everything else resolves features through the coalescer —
+  // one batched storage fetch for the whole request, duplicates merged.
+  std::vector<Item> misses;
+  std::vector<size_t> pos;
+  misses.reserve(items.size());
+  pos.reserve(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    if (cached_scores[i].has_value()) {
-      out[i].item_id = items[i].id;
-      out[i].score = *cached_scores[i];
+    scored[i].item_id = items[i].id;
+    if (cached[i].has_value()) {
+      scored[i].score = *cached[i];
     } else {
-      to_score.push_back(items[i]);
-      score_pos.push_back(i);
+      misses.push_back(items[i]);
+      pos.push_back(i);
     }
   }
   std::vector<Result<FeaturePtr>> features =
-      BatchResolveFeatures(*version, to_score, timer);
+      BatchResolveFeatures(version, misses, timer);
 
-  // Phase 3: score. Scores are w_u' f — the same Dot over the same
-  // resolved factors the per-key path uses, so batched output is
-  // bit-identical to per-key output. Degradation applies per item.
-  for (size_t j = 0; j < to_score.size(); ++j) {
-    const size_t i = score_pos[j];
-    out[i].item_id = items[i].id;
+  // Phase 3: errors, in item order. A transient failure degrades the
+  // item (the rest still get real scores); anything else fails the
+  // request before it records a score.
+  size_t resolved = 0;
+  for (size_t j = 0; j < features.size(); ++j) {
     if (!features[j].ok()) {
       if (!options_.degrade_on_unavailable || !features[j].status().IsUnavailable()) {
         return features[j].status();
       }
-      out[i] = DegradedAnswer(uid, items[i].id, timer);
+      scored[pos[j]].degraded = true;
       continue;
     }
     const DenseVector& f = *features[j].value();
@@ -566,17 +618,48 @@ Result<std::vector<ScoredItem>> PredictionService::PredictBatch(
       return Status::Internal(StrFormat("feature dim %zu != weight dim %zu", f.dim(),
                                         weights.dim()));
     }
-    StageTimer::Scope kernel(timer, Stage::kKernelScore);
-    double score = Dot(weights, f);
-    kernel.Stop();
-    if (options_.use_prediction_cache) {
-      prediction_cache_->Put(PredictionKey{uid, items[i].id, epoch, version->version},
-                             score);
-    }
-    NoteScore(uid, items[i].id, score);
-    out[i].score = score;
+    ++resolved;
   }
-  return out;
+
+  // Phase 4: score. w_u' f with the same Dot for every path, so any
+  // batching of the same items gives the same bits.
+  if (resolved > 0) {
+    StageTimer::Scope kernel(timer, Stage::kKernelScore);
+    for (size_t j = 0; j < features.size(); ++j) {
+      if (features[j].ok()) scored[pos[j]].score = Dot(weights, *features[j].value());
+    }
+  }
+
+  // Phase 5: the uncertainty of every resolved item, under one
+  // acquisition of the user's stripe lock. Degraded items keep zero: a
+  // degraded pick must never look like an attractive exploration
+  // target.
+  if (with_uncertainty && resolved > 0) {
+    StageTimer::Scope bandit(timer, Stage::kBanditOrder);
+    std::vector<const DenseVector*> f;
+    std::vector<size_t> at;
+    f.reserve(resolved);
+    at.reserve(resolved);
+    for (size_t j = 0; j < features.size(); ++j) {
+      if (!features[j].ok()) continue;
+      f.push_back(features[j].value().get());
+      at.push_back(pos[j]);
+    }
+    std::vector<double> u(f.size());
+    weights_->Uncertainties(uid, f, u.data());
+    for (size_t m = 0; m < at.size(); ++m) scored[at[m]].uncertainty = u[m];
+  }
+
+  if (use_cache) {
+    for (size_t j = 0; j < features.size(); ++j) {
+      if (!features[j].ok()) continue;
+      const ScoredItem& s = scored[pos[j]];
+      prediction_cache_->Put(PredictionKey{uid, s.item_id, epoch, version.version},
+                             s.score);
+    }
+  }
+  NoteScores(uid, pos, scored, timer);
+  return scored;
 }
 
 Result<TopKResult> PredictionService::TopK(uint64_t uid,
@@ -590,106 +673,21 @@ Result<TopKResult> PredictionService::TopK(uint64_t uid,
   StageTimer timer(stages_);
   VELOX_ASSIGN_OR_RETURN(std::shared_ptr<const ModelVersion> version,
                          registry_->Current());
-  StageTimer::Scope lookup(timer, Stage::kUserWeightLookup);
-  DenseVector weights =
-      weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights());
-  uint64_t epoch = weights_->Epoch(uid);
-  lookup.Stop();
+  VELOX_ASSIGN_OR_RETURN(std::vector<ScoredItem> items,
+                         ScoreItems(*version, uid, candidates,
+                                    /*with_uncertainty=*/policy != nullptr, timer));
 
-  const bool needs_uncertainty = policy != nullptr;
-  std::vector<BanditCandidate> scored(candidates.size());
-  std::vector<bool> candidate_degraded(candidates.size(), false);
+  std::vector<BanditCandidate> scored(items.size());
   bool any_degraded = false;
-
-  // Phase 1: prediction-cache probes. Skipped in uncertainty mode,
-  // where features are needed regardless of a score hit (the per-key
-  // path resolved first there too).
-  std::vector<std::optional<double>> cached_scores(candidates.size());
-  if (!needs_uncertainty && options_.use_prediction_cache) {
-    StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      cached_scores[i] = prediction_cache_->Get(
-          PredictionKey{uid, candidates[i].id, epoch, version->version});
-    }
-  }
-
-  // Phase 2: one coalesced feature resolution for everything that
-  // still needs features — the whole candidate set's storage misses
-  // travel as one MultiGet instead of one round trip per candidate.
-  std::vector<Item> to_resolve;
-  std::vector<size_t> resolve_pos;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!cached_scores[i].has_value()) {
-      to_resolve.push_back(candidates[i]);
-      resolve_pos.push_back(i);
-    }
-  }
-  std::vector<Result<FeaturePtr>> features =
-      BatchResolveFeatures(*version, to_resolve, timer);
-  std::vector<ptrdiff_t> feat_idx(candidates.size(), -1);
-  for (size_t j = 0; j < resolve_pos.size(); ++j) {
-    feat_idx[resolve_pos[j]] = static_cast<ptrdiff_t>(j);
-  }
-
-  // Phase 3: per-candidate scoring; same kernels and per-item cache
-  // semantics as the per-key path, so scores are bit-identical.
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    scored[i].item_id = candidates[i].id;
-    if (cached_scores[i].has_value()) {
-      scored[i].score = *cached_scores[i];
-      continue;
-    }
-    Result<FeaturePtr>& feat = features[static_cast<size_t>(feat_idx[i])];
-    if (!feat.ok()) {
-      // A transiently-unresolvable candidate gets a degraded score (and
-      // zero uncertainty — a degraded pick should never look like an
-      // attractive exploration target); the rest of the set still gets
-      // real scores. Definitive errors fail the whole request.
-      if (!options_.degrade_on_unavailable || !feat.status().IsUnavailable()) {
-        return feat.status();
-      }
-      ScoredItem fallback = DegradedAnswer(uid, candidates[i].id, timer);
-      scored[i].score = fallback.score;
-      scored[i].uncertainty = 0.0;
-      candidate_degraded[i] = true;
-      any_degraded = true;
-      continue;
-    }
-    const DenseVector& f = *feat.value();
-    if (f.dim() != weights.dim()) {
-      return Status::Internal(StrFormat("feature dim %zu != weight dim %zu", f.dim(),
-                                        weights.dim()));
-    }
-    std::optional<double> cached;
-    if (needs_uncertainty && options_.use_prediction_cache) {
-      // Uncertainty mode resolves first, then probes — this is that
-      // probe; non-uncertainty mode already probed in phase 1.
-      StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
-      cached = prediction_cache_->Get(
-          PredictionKey{uid, candidates[i].id, epoch, version->version});
-    }
-    if (cached.has_value()) {
-      scored[i].score = *cached;
-    } else {
-      StageTimer::Scope kernel(timer, Stage::kKernelScore);
-      double score = Dot(weights, f);
-      kernel.Stop();
-      if (options_.use_prediction_cache) {
-        prediction_cache_->Put(
-            PredictionKey{uid, candidates[i].id, epoch, version->version}, score);
-      }
-      NoteScore(uid, candidates[i].id, score);
-      scored[i].score = score;
-    }
-    if (needs_uncertainty) {
-      StageTimer::Scope bandit(timer, Stage::kBanditOrder);
-      scored[i].uncertainty = weights_->Uncertainty(uid, f);
-    }
+  for (size_t i = 0; i < items.size(); ++i) {
+    scored[i] = BanditCandidate{items[i].item_id, items[i].score, items[i].uncertainty};
+    any_degraded |= items[i].degraded;
   }
 
   StageTimer::Scope bandit(timer, Stage::kBanditOrder);
   std::vector<size_t> order;
   if (policy != nullptr) {
+    std::lock_guard<std::mutex> lock(rank_mu_);
     order = policy->Rank(scored, rng);
   } else {
     order = GreedyPolicy().Rank(scored, rng);
@@ -701,11 +699,7 @@ Result<TopKResult> PredictionService::TopK(uint64_t uid,
   result.degraded = any_degraded;
   size_t take = std::min(k, order.size());
   result.items.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    const BanditCandidate& c = scored[order[i]];
-    result.items.push_back(
-        ScoredItem{c.item_id, c.score, c.uncertainty, candidate_degraded[order[i]]});
-  }
+  for (size_t i = 0; i < take; ++i) result.items.push_back(items[order[i]]);
   result.top_is_exploratory =
       !order.empty() && order[0] != BanditPolicy::GreedyTop(scored);
   return result;

@@ -10,23 +10,23 @@
 //              basis or fetches the materialized factor — possibly from
 //              a remote node, charged to the simulated network).
 //
-// TopK scores a candidate set the same way, then lets a bandit policy
+// TopK scores a candidate set in one pass, then lets a bandit policy
 // order it (§5: select "the item with max sum of score and
 // uncertainty"), reporting whether the top pick was exploratory so the
 // manager can route the eventual observation into the validation pool.
 #ifndef VELOX_CORE_PREDICTION_SERVICE_H_
 #define VELOX_CORE_PREDICTION_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
-
-#include "common/lru.h"
 
 #include "common/metrics.h"
 #include "common/random.h"
@@ -133,9 +133,36 @@ struct PredictionServiceOptions {
   // flagged `degraded` — instead of erroring the request. Definitive
   // errors (NotFound) still propagate.
   bool degrade_on_unavailable = true;
-  // Capacity of the stale-score board backing the first degradation
-  // rung (last computed score per (uid, item), any epoch/version).
-  size_t stale_score_capacity = 1 << 16;
+};
+
+// The first degradation rung: the last computed score per (uid, item),
+// any epoch or version, in a fixed direct-mapped table. A write
+// overwrites its slot, so a pair whose slot a later pair took is
+// forgotten (the bootstrap mean answers for it); a read answers only
+// when the slot holds exactly the asked pair, never another pair's
+// score. Sized at construction, it allocates nothing afterwards;
+// striped mutexes guard the slots.
+class StaleScoreBoard {
+ public:
+  static constexpr size_t kSlots = size_t{1} << 16;
+
+  StaleScoreBoard() : slots_(kSlots) {}
+
+  void Put(uint64_t uid, uint64_t item_id, double score);
+  std::optional<double> Get(uint64_t uid, uint64_t item_id) const;
+
+ private:
+  struct Slot {
+    uint64_t uid = 0;
+    uint64_t item_id = 0;
+    double score = 0.0;
+    bool filled = false;
+  };
+  static constexpr size_t kStripes = 64;
+  static size_t SlotOf(uint64_t uid, uint64_t item_id);
+
+  std::vector<Slot> slots_;
+  mutable std::array<std::mutex, kStripes> mus_;
 };
 
 class PredictionService {
@@ -163,7 +190,14 @@ class PredictionService {
                                                const std::vector<Item>& items);
 
   // Scores `candidates` and returns the best k under `policy`
-  // (greedy when policy is null) — Listing 1's `topK`.
+  // (greedy when policy is null) — Listing 1's `topK`. With no policy
+  // this is PredictBatch's scoring plus a greedy rank. With a policy
+  // every candidate's features are resolved for its uncertainty, so the
+  // prediction cache is bypassed (a hit would save only the dot
+  // product): one coalesced resolve, one scoring loop, one stripe-lock
+  // acquisition for all uncertainties. Only `policy->Rank` runs under
+  // the service's rank mutex, so callers may share one `rng` across
+  // threads.
   Result<TopKResult> TopK(uint64_t uid, const std::vector<Item>& candidates, size_t k,
                           const BanditPolicy* policy, Rng* rng);
 
@@ -275,15 +309,15 @@ class PredictionService {
   // bit-for-bit.
   double fallback_score() const {
     std::lock_guard<std::mutex> lock(fallback_mu_);
-    return score_count_ == 0 ? 0.0 : score_sum_ / static_cast<double>(score_count_);
+    return FallbackScoreLocked();
   }
 
   // Load-shed answer for (uid, item): the exact degradation ladder the
   // fault path uses (stale-score board, else bootstrap mean), so a
   // request shed by admission control gets a response bit-identical to
   // one degraded by a storage fault. Bumps the same rung counters and
-  // records the same kDegradedServe stage; cheap by construction (two
-  // map probes, no storage I/O).
+  // records the same kDegradedServe stage; cheap by construction (one
+  // board probe and the mean, no storage I/O).
   ScoredItem ShedAnswer(uint64_t uid, uint64_t item_id);
 
   // Miss-coalescer counters. Every feature resolution (single or
@@ -341,16 +375,30 @@ class PredictionService {
                                                 const std::vector<Item>& misses,
                                                 StageTimer& timer);
 
-  // Records a successfully computed score: feeds the running bootstrap
-  // mean and the stale-score board (keyed (uid, item), any
-  // epoch/version) so later transient failures have something to serve.
-  void NoteScore(uint64_t uid, uint64_t item_id, double score);
+  // The scoring pass behind PredictBatch and TopK: one ScoredItem per
+  // item of `items`, in input order. Reads the user's weights and epoch
+  // under one lock; without `with_uncertainty`, probes the prediction
+  // cache per item; resolves the rest in one coalesced batch; scores
+  // them under one kernel span; with `with_uncertainty`, fills their
+  // uncertainties under one stripe-lock acquisition; then NoteScores.
+  // A transiently unresolvable item is degraded (zero uncertainty); a
+  // definitive error fails the call before any score is recorded.
+  Result<std::vector<ScoredItem>> ScoreItems(const ModelVersion& version, uint64_t uid,
+                                             const std::vector<Item>& items,
+                                             bool with_uncertainty, StageTimer& timer);
 
-  // The degradation ladder: last known score for (uid, item) if the
-  // stale board has one, else the bootstrap-mean score. Returns the
-  // degraded ScoredItem and bumps the matching counter. Callers have
-  // already decided the failure is transient.
-  ScoredItem DegradedAnswer(uint64_t uid, uint64_t item_id, StageTimer& timer);
+  // Settles the resolved items of `out` (positions `pos`, in item
+  // order): each computed score goes to the stale board and then, under
+  // one fallback_mu_ acquisition, into the running bootstrap mean; each
+  // degraded item is answered from the ladder as of its position (its
+  // board slot, else the mean so far), exactly as an item-at-a-time
+  // loop would. No-op when degradation is off.
+  void NoteScores(uint64_t uid, const std::vector<size_t>& pos,
+                  std::vector<ScoredItem>& out, StageTimer& timer);
+
+  double FallbackScoreLocked() const {
+    return score_count_ == 0 ? 0.0 : score_sum_ / static_cast<double>(score_count_);
+  }
 
   // Scans `plane` for one user's weights in PlannedScanShards shards;
   // shared by TopKAll and TopKAllBatch.
@@ -396,15 +444,18 @@ class PredictionService {
   ThreadPool* scan_pool_ = nullptr;
   StageRegistry* stages_ = nullptr;
 
-  // Degradation state. The stale board reuses PredictionKey with
-  // epoch/version zeroed: unlike the prediction cache, a stale entry is
+  // Degradation state. Unlike the prediction cache, a stale entry is
   // *meant* to survive epoch bumps — that is what makes it stale.
-  LruCache<PredictionKey, double, PredictionKeyHash> stale_scores_;
+  StaleScoreBoard stale_scores_;
   mutable std::mutex fallback_mu_;
   double score_sum_ = 0.0;
   uint64_t score_count_ = 0;
   std::atomic<uint64_t> degraded_stale_{0};
   std::atomic<uint64_t> degraded_mean_{0};
+
+  // Held only across BanditPolicy::Rank: the one TopK step that draws
+  // from the caller's Rng (VeloxServer shares one per node).
+  std::mutex rank_mu_;
 
   // Single-flight table: one Flight per (model version, item id) with a
   // fetch in progress. The claiming thread fetches, publishes into

@@ -112,11 +112,16 @@ void UserWeightStore::JournalAppend(const UserWeightWalRecord& record) {
 }
 
 DenseVector UserWeightStore::GetOrBootstrapWeights(uint64_t uid,
-                                                   const DenseVector& bootstrap_weights) {
+                                                   const DenseVector& bootstrap_weights,
+                                                   uint64_t* epoch) {
   Stripe& stripe = StripeFor(uid);
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.users.find(uid);
-  if (it != stripe.users.end()) return it->second.weights;
+  if (it != stripe.users.end()) {
+    if (epoch != nullptr) *epoch = it->second.epoch;
+    return it->second.weights;
+  }
+  if (epoch != nullptr) *epoch = 0;  // a created user starts at epoch 0
   // Prefer the persisted snapshot (node-failure recovery) over the
   // cold-start mean.
   DenseVector initial;
@@ -266,23 +271,33 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
 }
 
 double UserWeightStore::Uncertainty(uint64_t uid, const DenseVector& features) const {
+  const DenseVector* one = &features;
+  double out = 0.0;
+  Uncertainties(uid, {&one, 1}, &out);
+  return out;
+}
+
+void UserWeightStore::Uncertainties(uint64_t uid,
+                                    std::span<const DenseVector* const> features,
+                                    double* out) const {
   Stripe& stripe = StripeFor(uid);
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.users.find(uid);
-  if (it == stripe.users.end()) {
-    // Unknown user: maximal uncertainty under the count proxy.
-    return 1.0;
+  for (size_t i = 0; i < features.size(); ++i) {
+    if (it == stripe.users.end()) {
+      // Unknown user: maximal uncertainty under the count proxy.
+      out[i] = 1.0;
+    } else if (it->second.sm != nullptr) {
+      out[i] = it->second.sm->Uncertainty(*features[i]);
+    } else if (options_.strategy == UpdateStrategy::kShermanMorrison) {
+      // No observations yet: A^{-1} = (1/lambda) I, so the uncertainty
+      // is ||f|| / sqrt(lambda) — what a fresh solver would report.
+      out[i] = features[i]->Norm2() / std::sqrt(options_.lambda);
+    } else {
+      out[i] =
+          1.0 / std::sqrt(1.0 + static_cast<double>(it->second.num_observations));
+    }
   }
-  const UserState& state = it->second;
-  if (state.sm != nullptr) {
-    return state.sm->Uncertainty(features);
-  }
-  if (options_.strategy == UpdateStrategy::kShermanMorrison) {
-    // No observations yet: A^{-1} = (1/lambda) I, so the uncertainty is
-    // ||f|| / sqrt(lambda) — what a fresh solver would report.
-    return features.Norm2() / std::sqrt(options_.lambda);
-  }
-  return 1.0 / std::sqrt(1.0 + static_cast<double>(state.num_observations));
 }
 
 uint64_t UserWeightStore::Epoch(uint64_t uid) const {

@@ -22,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -94,8 +95,11 @@ class UserWeightStore {
   Result<DenseVector> GetWeights(uint64_t uid) const;
 
   // Current weights, creating the user from `bootstrap_weights` if
-  // absent (the §5 cold-start path).
-  DenseVector GetOrBootstrapWeights(uint64_t uid, const DenseVector& bootstrap_weights);
+  // absent (the §5 cold-start path). `epoch` (optional) receives the
+  // user's epoch from the same locked read, so a caller keying a cache
+  // by (weights, epoch) never pairs old weights with a newer epoch.
+  DenseVector GetOrBootstrapWeights(uint64_t uid, const DenseVector& bootstrap_weights,
+                                    uint64_t* epoch = nullptr);
 
   bool HasUser(uint64_t uid) const;
 
@@ -112,6 +116,10 @@ class UserWeightStore {
   // kShermanMorrison; under the naive strategy falls back to the
   // count-based proxy 1/sqrt(1 + n_u) (the inverse is not maintained).
   double Uncertainty(uint64_t uid, const DenseVector& features) const;
+  // Uncertainty(uid, *features[i]) into out[i] for every i, under one
+  // stripe-lock acquisition (bit-identical: same arithmetic per item).
+  void Uncertainties(uint64_t uid, std::span<const DenseVector* const> features,
+                     double* out) const;
 
   // Monotone per-user change counter (prediction-cache keying); 0 for
   // unknown users.

@@ -134,7 +134,6 @@ VeloxServer::VeloxServer(VeloxServerConfig config, std::unique_ptr<VeloxModel> m
     per_node_.push_back(std::move(node));
 
     rngs_.push_back(std::make_unique<Rng>(config_.seed ^ (0x1000 + static_cast<uint64_t>(n))));
-    rng_mus_.push_back(std::make_unique<std::mutex>());
   }
 
   RetrainSchedulerOptions ropts = config_.retrain;
@@ -216,10 +215,10 @@ Result<TopKResult> VeloxServer::TopK(uint64_t uid, const std::vector<Item>& cand
                                      size_t k) {
   VELOX_ASSIGN_OR_RETURN(NodeId node,
                          ServingNode(uid, sizeof(uint64_t) * (1 + candidates.size())));
-  Rng* rng = rngs_[static_cast<size_t>(node)].get();
-  std::lock_guard<std::mutex> lock(*rng_mus_[static_cast<size_t>(node)]);
+  // The node's service serializes only the policy's Rank, the one step
+  // that draws from the node's Rng.
   return per_node_[static_cast<size_t>(node)]->prediction_service->TopK(
-      uid, candidates, k, bandit_.get(), rng);
+      uid, candidates, k, bandit_.get(), rngs_[static_cast<size_t>(node)].get());
 }
 
 Result<TopKResult> VeloxServer::DegradedTopK(uint64_t uid,

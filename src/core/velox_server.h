@@ -386,9 +386,9 @@ class VeloxServer {
   std::vector<std::unique_ptr<PerNode>> per_node_;
   std::unique_ptr<RetrainScheduler> scheduler_;
   std::unique_ptr<BanditPolicy> bandit_;
-  // Per-call randomness for bandit policies; mutex-free via striping.
+  // One Rng per node for bandit policies; the node's PredictionService
+  // holds its rank mutex across each draw (TopK's Rank step only).
   std::vector<std::unique_ptr<Rng>> rngs_;
-  std::vector<std::unique_ptr<std::mutex>> rng_mus_;
   std::atomic<uint64_t> request_counter_{0};
   std::atomic<uint64_t> observe_counter_{0};
   bool durability_recovered_ = false;

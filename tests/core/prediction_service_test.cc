@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace velox {
 namespace {
 
@@ -189,6 +194,76 @@ TEST_F(PredictionServiceTest, ExploratoryFlagFalseForGreedyPolicy) {
   auto r = service_.TopK(1, candidates, 1, &greedy, &rng);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->top_is_exploratory);
+}
+
+// One observe racing a predict loop on one (uid, item) pair, per round.
+// Predict reads the user's weights and epoch in one locked read, so a
+// score it caches is keyed by the epoch of the weights that produced
+// it. Were they two reads, an observe landing between them would cache
+// the old weights' score under the new epoch, and the round's final
+// predict (a cache hit at that epoch) would serve it.
+TEST_F(PredictionServiceTest, ObserveRacingPredictsNeverLeavesAStaleCachedScore) {
+  constexpr int kRounds = 400;
+  const DenseVector f = {1.0, 0.0};  // item 10
+  int stale_rounds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<bool> observed{false};
+    std::thread observer([&] {
+      EXPECT_TRUE(weights_.ApplyObservation(1, f, static_cast<double>(round % 5)).ok());
+      observed.store(true);
+    });
+    bool predicts_ok = true;
+    while (!observed.load() && predicts_ok) {
+      predicts_ok = service_.Predict(1, MakeItem(10)).ok();
+    }
+    observer.join();
+    ASSERT_TRUE(predicts_ok);
+    auto final_predict = service_.Predict(1, MakeItem(10));
+    ASSERT_TRUE(final_predict.ok());
+    if (final_predict->score != Dot(weights_.GetWeights(1).value(), f)) ++stale_rounds;
+  }
+  EXPECT_EQ(stale_rounds, 0) << stale_rounds << " of " << kRounds
+                             << " rounds served a score of superseded weights";
+}
+
+// More (uid, item) pairs than the stale board has slots, so some slots
+// now hold a later pair. A shed answer is the pair's own last score or
+// the bootstrap mean — never the score of the pair that took its slot.
+TEST_F(PredictionServiceTest, StaleBoardNeverAnswersWithAnotherPairsScore) {
+  constexpr uint64_t kFirstUid = 100;
+  constexpr uint64_t kUsers = 25'000;  // x 3 items = 75,000 pairs
+  static_assert(3 * kUsers > StaleScoreBoard::kSlots);
+  // Distinct scores for every pair: item 10 scores 1e8 + u, item 20
+  // scores u + 0.5, item 30 scores 1e8 + 2u + 0.5.
+  std::vector<Item> items = {MakeItem(10), MakeItem(20), MakeItem(30)};
+  std::vector<std::array<double, 3>> own(kUsers);
+  for (uint64_t u = 0; u < kUsers; ++u) {
+    const double x = static_cast<double>(u);
+    weights_.SeedUser(kFirstUid + u, DenseVector{1e8 + x, x + 0.5}, 1);
+    auto scored = service_.PredictBatch(kFirstUid + u, items);
+    ASSERT_TRUE(scored.ok());
+    for (size_t i = 0; i < items.size(); ++i) own[u][i] = scored.value()[i].score;
+  }
+  const double mean = service_.fallback_score();
+  size_t own_answers = 0;
+  size_t mean_answers = 0;
+  for (uint64_t u = 0; u < kUsers; ++u) {
+    for (size_t i = 0; i < items.size(); ++i) {
+      ScoredItem shed = service_.ShedAnswer(kFirstUid + u, items[i].id);
+      ASSERT_TRUE(shed.degraded);
+      if (shed.score == own[u][i]) {
+        ++own_answers;
+      } else {
+        ASSERT_EQ(shed.score, mean) << "uid " << kFirstUid + u << " item " << items[i].id;
+        ++mean_answers;
+      }
+    }
+  }
+  EXPECT_GT(own_answers, 0u);
+  EXPECT_LE(own_answers, StaleScoreBoard::kSlots);
+  EXPECT_EQ(own_answers + mean_answers, 3 * kUsers);
+  EXPECT_EQ(service_.degraded_stale_count(), own_answers);
+  EXPECT_EQ(service_.degraded_mean_count(), mean_answers);
 }
 
 TEST_F(PredictionServiceTest, TopKAllScansWholeCatalog) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 
@@ -38,6 +40,71 @@ TEST(UserWeightStoreTest, BootstrapCreatesUserWithGivenWeights) {
   // Second call returns the stored weights, not the new bootstrap.
   DenseVector other = {9.0, 9.0, 9.0};
   EXPECT_EQ(store.GetOrBootstrapWeights(42, other), boot);
+}
+
+// The epoch comes from the same locked read as the weights: a created
+// user reports 0, and after an update both move together.
+TEST(UserWeightStoreTest, GetOrBootstrapWeightsReportsEpochOfTheSameRead) {
+  UserWeightStore store(Opts(UpdateStrategy::kShermanMorrison), nullptr);
+  DenseVector boot = {1.0, 2.0, 3.0};
+  uint64_t epoch = 99;
+  EXPECT_EQ(store.GetOrBootstrapWeights(5, boot, &epoch), boot);
+  EXPECT_EQ(epoch, 0u);
+
+  store.SeedUser(1, DenseVector{1.0, 0.0, 0.0}, 1);
+  store.SeedUser(1, DenseVector{0.0, 1.0, 0.0}, 2);
+  auto updated = store.ApplyObservation(1, DenseVector{1.0, 1.0, 0.0}, 3.0);
+  ASSERT_TRUE(updated.ok());
+  DenseVector w = store.GetOrBootstrapWeights(1, boot, &epoch);
+  EXPECT_EQ(w, updated->new_weights);
+  EXPECT_EQ(epoch, updated->new_epoch);
+  EXPECT_EQ(epoch, store.Epoch(1));
+  EXPECT_EQ(epoch, 2u);  // one replace + one observation
+}
+
+// The batched form against each branch's own arithmetic: an unknown
+// user, a user with no observations yet, a user with solver state (a
+// replica solver fed the same examples), and the naive strategy's
+// count proxy — bit for bit, for every item of the batch.
+TEST(UserWeightStoreTest, UncertaintiesMatchEachBranchBitForBit) {
+  const double lambda = 0.5;
+  for (UpdateStrategy strategy :
+       {UpdateStrategy::kShermanMorrison, UpdateStrategy::kNaiveNormalEquations}) {
+    UserWeightStore store(Opts(strategy, 3, lambda), nullptr);
+    store.SeedUser(1, DenseVector{0.5, -0.25, 1.0}, 1);  // no observations
+    ShermanMorrisonSolver replica(3, lambda);
+    replica.SetPriorMean(DenseVector(3));  // observe-first, no bootstrapper
+    Rng rng(17);
+    constexpr int kObservations = 7;
+    for (int i = 0; i < kObservations; ++i) {
+      DenseVector f = {rng.Gaussian(), rng.Gaussian(), rng.Gaussian()};
+      double y = rng.Gaussian();
+      ASSERT_TRUE(store.ApplyObservation(2, f, y).ok());
+      replica.AddExample(f, y);
+    }
+    std::vector<DenseVector> feats;
+    for (int i = 0; i < 9; ++i) {
+      feats.push_back(DenseVector{rng.Gaussian(), rng.Gaussian(), rng.Gaussian()});
+    }
+    std::vector<const DenseVector*> ptrs;
+    for (const DenseVector& f : feats) ptrs.push_back(&f);
+    const bool sm = strategy == UpdateStrategy::kShermanMorrison;
+    for (uint64_t uid : {1u, 2u, 404u}) {
+      std::vector<double> batch(ptrs.size(), -1.0);
+      store.Uncertainties(uid, ptrs, batch.data());
+      for (size_t i = 0; i < feats.size(); ++i) {
+        double expected = 1.0;  // unknown user, or naive with no data
+        if (uid == 1 && sm) expected = feats[i].Norm2() / std::sqrt(lambda);
+        if (uid == 2) {
+          expected = sm ? replica.Uncertainty(feats[i])
+                        : 1.0 / std::sqrt(1.0 + static_cast<double>(kObservations));
+        }
+        EXPECT_EQ(batch[i], expected)
+            << UpdateStrategyName(strategy) << " uid " << uid << " item " << i;
+        EXPECT_EQ(store.Uncertainty(uid, feats[i]), expected);
+      }
+    }
+  }
 }
 
 TEST(UserWeightStoreTest, SeedUserInstallsWeightsAndBumpsEpochOnReplace) {
