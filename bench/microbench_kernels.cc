@@ -1,14 +1,17 @@
 // Google-benchmark microbenchmarks of the serving-path kernels: the
 // Eq. 1 dot product, feature-function evaluation, Eq. 2 solves (naive
 // Cholesky vs Sherman–Morrison), cache operations, the storage codec,
-// and one candidate topK through VeloxServer. These are the primitives
-// whose costs compose into Figures 3 and 4; keeping them visible guards
+// one candidate topK through VeloxServer, and the durability path's
+// snapshot cut and journal append. These are the primitives whose
+// costs compose into Figures 3 and 4; keeping them visible guards
 // against performance regressions.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/lru.h"
@@ -16,6 +19,7 @@
 #include "core/feature_cache.h"
 #include "core/prediction_cache.h"
 #include "core/prediction_service.h"
+#include "core/user_weights.h"
 #include "core/velox_server.h"
 #include "data/movielens.h"
 #include "linalg/cholesky.h"
@@ -24,6 +28,7 @@
 #include "linalg/sherman_morrison.h"
 #include "ml/feature_function.h"
 #include "server/dispatcher.h"
+#include "storage/snapshot.h"
 
 namespace velox {
 namespace {
@@ -287,6 +292,69 @@ void BM_CandidateTopK(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_CandidateTopK)->Arg(50)->Arg(200);
+
+// The snapshot cut's encode: UserWeightStore::SerializeState over
+// observe_durable's table — 5,000 users at d = 10, each with
+// Sherman–Morrison state (a 5.5 MB image). The store holds every stripe
+// lock for this long at each cadence crossing.
+void BM_SnapshotCut(benchmark::State& state) {
+  constexpr uint64_t kUsers = 5000;
+  constexpr size_t kDim = 10;
+  UserWeightStoreOptions options;
+  options.dim = kDim;
+  Bootstrapper boot(kDim);
+  UserWeightStore store(options, &boot);
+  for (uint64_t u = 0; u < kUsers; ++u) {
+    store.SeedUser(u, RandomVector(kDim, 100 + u), 1);
+    VELOX_CHECK_OK(store.ApplyObservation(u, RandomVector(kDim, 20000 + u), 4.0).status());
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::vector<uint8_t> image = store.SerializeState();
+    bytes = image.size();
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_SnapshotCut)->Unit(benchmark::kMillisecond);
+
+// One kObservationUpdate append (d = 10) to a user-weight journal under
+// WalSyncPolicy::kNone in $TMPDIR: record encoding, CRC-32 and the
+// buffered write, with no flush or sync. The file is recreated every
+// 65,536 appends so it stays small.
+void BM_WalAppendObservation(benchmark::State& state) {
+  const char* tmpdir = std::getenv("TMPDIR");
+  UserWeightJournalOptions options;
+  options.wal_path = std::string(tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp") +
+                     "/velox_bm_wal_append.wal";
+  options.wal.sync = WalSyncPolicy::kNone;
+  UserWeightWalRecord record;
+  record.kind = UserWeightWalRecord::Kind::kObservationUpdate;
+  record.uid = 42;
+  record.model_version = 1;
+  record.features = RandomVector(10, 47);
+  record.label = 4.0;
+  auto open = [&options] {
+    std::remove(options.wal_path.c_str());
+    return std::move(UserWeightJournal::Open(options)).value();
+  };
+  std::unique_ptr<UserWeightJournal> journal = open();
+  int64_t appended = 0;
+  for (auto _ : state) {
+    if (++appended % 65536 == 0) {
+      state.PauseTiming();
+      journal.reset();
+      journal = open();
+      state.ResumeTiming();
+    }
+    Status status = journal->Append(record);
+    benchmark::DoNotOptimize(status);
+  }
+  journal.reset();
+  std::remove(options.wal_path.c_str());
+}
+BENCHMARK(BM_WalAppendObservation);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(1'000'000, 1.0);

@@ -2,19 +2,38 @@
 
 namespace velox {
 
-void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+namespace {
+
+// Byte i of the result holds bits 8i..8i+7 of `v` on every host; the
+// compiler merges the shifts into one store where the host is
+// little-endian.
+void StoreLe32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+void StoreLe64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-void ByteWriter::PutDouble(double v) {
+uint64_t DoubleBits(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
+  return bits;
 }
+
+}  // namespace
+
+uint8_t* ByteWriter::Grow(size_t n) {
+  size_t at = buf_.size();
+  buf_.resize(at + n);
+  return buf_.data() + at;
+}
+
+void ByteWriter::PutU32(uint32_t v) { StoreLe32(Grow(4), v); }
+
+void ByteWriter::PutU64(uint64_t v) { StoreLe64(Grow(8), v); }
+
+void ByteWriter::PutDouble(double v) { PutU64(DoubleBits(v)); }
 
 void ByteWriter::PutString(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
@@ -23,7 +42,13 @@ void ByteWriter::PutString(std::string_view s) {
 
 void ByteWriter::PutDoubleVector(const std::vector<double>& v) {
   PutU32(static_cast<uint32_t>(v.size()));
-  for (double d : v) PutDouble(d);
+  PutDoubles(v.data(), v.size());
+}
+
+void ByteWriter::PutDoubles(const double* v, size_t n) {
+  if (n == 0) return;
+  uint8_t* p = Grow(8 * n);
+  for (size_t i = 0; i < n; ++i) StoreLe64(p + 8 * i, DoubleBits(v[i]));
 }
 
 void ByteWriter::PutBytes(const std::vector<uint8_t>& b) {

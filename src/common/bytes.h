@@ -15,10 +15,15 @@
 
 namespace velox {
 
-// Append-only encoder.
+// Append-only encoder. Each Put grows the buffer once and stores the
+// value's little-endian bytes in place, so a vector costs one growth,
+// not one per byte.
 class ByteWriter {
  public:
   ByteWriter() = default;
+
+  // Capacity hint for an encoder that knows its final size.
+  void Reserve(size_t n) { buf_.reserve(n); }
 
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU32(uint32_t v);
@@ -27,6 +32,8 @@ class ByteWriter {
   void PutDouble(double v);
   void PutString(std::string_view s);           // length-prefixed
   void PutDoubleVector(const std::vector<double>& v);
+  // `n` doubles with no length prefix (e.g. one matrix row).
+  void PutDoubles(const double* v, size_t n);
   void PutBytes(const std::vector<uint8_t>& b);  // u64-length-prefixed
 
   const std::vector<uint8_t>& data() const { return buf_; }
@@ -34,6 +41,9 @@ class ByteWriter {
   size_t size() const { return buf_.size(); }
 
  private:
+  // Appends `n` bytes and returns where they start.
+  uint8_t* Grow(size_t n);
+
   std::vector<uint8_t> buf_;
 };
 

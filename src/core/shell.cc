@@ -274,21 +274,24 @@ Result<std::string> VeloxShell::CmdReport() {
               100.0 * rs.last_drift_fraction);
   }
   if (!server_->config().durability.dir.empty()) {
-    uint64_t wal_records = 0, snapshots = 0;
+    uint64_t wal_records = 0, snapshots = 0, snapshot_failures = 0;
     for (int32_t n = 0; n < server_->config().num_nodes; ++n) {
       if (auto* journal = server_->user_weight_journal(n); journal != nullptr) {
         wal_records += journal->records();
         snapshots += journal->snapshots_written();
+        snapshot_failures += journal->snapshot_failures();
       }
     }
     const auto& recovery = server_->durability_recovery();
     os << "\n"
        << StrFormat(
               "durability: policy=%s wal_records=%llu snapshots=%llu "
+              "snapshot_failures=%llu "
               "recovered(snapshot=%llu replayed=%llu skipped=%llu%s)",
               WalSyncPolicyName(server_->config().durability.wal.sync),
               static_cast<unsigned long long>(wal_records),
               static_cast<unsigned long long>(snapshots),
+              static_cast<unsigned long long>(snapshot_failures),
               static_cast<unsigned long long>(recovery.snapshot_covered_records),
               static_cast<unsigned long long>(recovery.replayed_records),
               static_cast<unsigned long long>(recovery.skipped_records),

@@ -24,11 +24,22 @@ enum SolverKind : uint8_t { kSolverNone = 0, kSolverAcc = 1, kSolverSm = 2 };
 void PutMatrix(ByteWriter* w, const DenseMatrix& m) {
   w->PutU32(static_cast<uint32_t>(m.rows()));
   w->PutU32(static_cast<uint32_t>(m.cols()));
-  for (size_t r = 0; r < m.rows(); ++r) {
-    const double* row = m.RowPtr(r);
-    for (size_t c = 0; c < m.cols(); ++c) w->PutDouble(row[c]);
-  }
+  for (size_t r = 0; r < m.rows(); ++r) w->PutDoubles(m.RowPtr(r), m.cols());
 }
+
+UserWeightWalRecord SeedRecord(uint64_t uid, int32_t model_version,
+                               const DenseVector& weights) {
+  UserWeightWalRecord record;
+  record.kind = UserWeightWalRecord::Kind::kSeed;
+  record.uid = uid;
+  record.model_version = model_version;
+  record.weights = weights;
+  return record;
+}
+
+// Encoded sizes, for reserving a state image up front.
+size_t VectorBytes(size_t n) { return 4 + 8 * n; }
+size_t MatrixBytes(const DenseMatrix& m) { return 8 + 8 * m.rows() * m.cols(); }
 
 Result<DenseMatrix> GetMatrix(ByteReader* r) {
   VELOX_ASSIGN_OR_RETURN(uint32_t rows, r->GetU32());
@@ -72,6 +83,21 @@ UserWeightStore::UserWeightStore(UserWeightStoreOptions options,
 
 UserWeightStore::Stripe& UserWeightStore::StripeFor(uint64_t uid) const {
   return *stripes_[HashPartitioner::MixHash(uid) % stripes_.size()];
+}
+
+std::vector<std::unique_lock<std::mutex>> UserWeightStore::LockAllStripes() const {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(stripes_.size());
+  for (const auto& stripe : stripes_) locks.emplace_back(stripe->mu);
+  return locks;
+}
+
+template <typename SumChange>
+void UserWeightStore::LogInOrder(const UserWeightWalRecord& record, bool journal,
+                                 SumChange&& change) {
+  std::lock_guard<std::mutex> order(log_order_mu_);
+  if (journal) JournalAppend(record);
+  if (bootstrapper_ != nullptr) change(*bootstrapper_);
 }
 
 UserWeightStore::UserState UserWeightStore::MakeState(const DenseVector& weights,
@@ -133,14 +159,9 @@ DenseVector UserWeightStore::GetOrBootstrapWeights(uint64_t uid,
   }
   // Journal the creation with the exact vector chosen, so replay never
   // re-consults the recovery fallback or the bootstrap mean.
-  UserWeightWalRecord record;
-  record.kind = UserWeightWalRecord::Kind::kSeed;
-  record.uid = uid;
-  record.model_version = 0;
-  record.weights = initial;
-  JournalAppend(record);
   stripe.users[uid] = MakeState(initial, 0);
-  if (bootstrapper_ != nullptr) bootstrapper_->OnUserAdded(initial);
+  LogInOrder(SeedRecord(uid, 0, initial), /*journal=*/true,
+             [&](Bootstrapper& boot) { boot.OnUserAdded(initial); });
   return initial;
 }
 
@@ -163,25 +184,19 @@ Status UserWeightStore::SeedUserInternal(uint64_t uid, const DenseVector& weight
   }
   Stripe& stripe = StripeFor(uid);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  if (journal) {
-    UserWeightWalRecord record;
-    record.kind = UserWeightWalRecord::Kind::kSeed;
-    record.uid = uid;
-    record.model_version = model_version;
-    record.weights = weights;
-    JournalAppend(record);
-  }
+  UserWeightWalRecord record = SeedRecord(uid, model_version, weights);
   auto it = stripe.users.find(uid);
   if (it != stripe.users.end()) {
-    if (bootstrapper_ != nullptr) {
-      bootstrapper_->OnUserUpdated(it->second.weights, weights);
-    }
+    DenseVector old_weights = std::move(it->second.weights);
     uint64_t old_epoch = it->second.epoch;
     it->second = MakeState(weights, model_version);
     it->second.epoch = old_epoch + 1;
+    LogInOrder(record, journal,
+               [&](Bootstrapper& boot) { boot.OnUserUpdated(old_weights, weights); });
   } else {
     stripe.users[uid] = MakeState(weights, model_version);
-    if (bootstrapper_ != nullptr) bootstrapper_->OnUserAdded(weights);
+    LogInOrder(record, journal,
+               [&](Bootstrapper& boot) { boot.OnUserAdded(weights); });
   }
   return Status::OK();
 }
@@ -217,25 +232,9 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
     } else if (bootstrapper_ != nullptr) {
       initial = bootstrapper_->MeanWeights();
     }
-    if (journal) {
-      UserWeightWalRecord seed;
-      seed.kind = UserWeightWalRecord::Kind::kSeed;
-      seed.uid = uid;
-      seed.model_version = 0;
-      seed.weights = initial;
-      JournalAppend(seed);
-    }
     it = stripe.users.emplace(uid, MakeState(initial, 0)).first;
-    if (bootstrapper_ != nullptr) bootstrapper_->OnUserAdded(it->second.weights);
-  }
-  if (journal) {
-    UserWeightWalRecord record;
-    record.kind = UserWeightWalRecord::Kind::kObservationUpdate;
-    record.uid = uid;
-    record.model_version = it->second.model_version;
-    record.features = features;
-    record.label = label;
-    JournalAppend(record);
+    LogInOrder(SeedRecord(uid, 0, initial), journal,
+               [&](Bootstrapper& boot) { boot.OnUserAdded(initial); });
   }
   UserState& state = it->second;
 
@@ -243,13 +242,18 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
   result.prediction_before = Dot(state.weights, features);
 
   DenseVector old_weights = state.weights;
+  Status solved;
   if (options_.strategy == UpdateStrategy::kNaiveNormalEquations) {
     if (state.acc == nullptr) {
       state.acc = std::make_unique<RidgeAccumulator>(options_.dim);
     }
     state.acc->AddExample(features, label);
-    VELOX_ASSIGN_OR_RETURN(state.weights,
-                           state.acc->SolveWithPrior(options_.lambda, state.prior));
+    Result<DenseVector> weights = state.acc->SolveWithPrior(options_.lambda, state.prior);
+    if (weights.ok()) {
+      state.weights = std::move(weights).value();
+    } else {
+      solved = weights.status();
+    }
   } else {
     if (state.sm == nullptr) {
       state.sm = std::make_unique<ShermanMorrisonSolver>(options_.dim, options_.lambda);
@@ -258,11 +262,20 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
     state.sm->AddExample(features, label);
     state.weights = state.sm->Weights();
   }
+  // A failed naive solve still journals: its example is already in the
+  // accumulator, and replay must add it too.
+  UserWeightWalRecord record;
+  record.kind = UserWeightWalRecord::Kind::kObservationUpdate;
+  record.uid = uid;
+  record.model_version = state.model_version;
+  record.features = features;
+  record.label = label;
+  LogInOrder(record, journal, [&](Bootstrapper& boot) {
+    if (solved.ok()) boot.OnUserUpdated(old_weights, state.weights);
+  });
+  VELOX_RETURN_NOT_OK(solved);
   ++state.num_observations;
   ++state.epoch;
-  if (bootstrapper_ != nullptr) {
-    bootstrapper_->OnUserUpdated(old_weights, state.weights);
-  }
 
   result.new_weights = state.weights;
   result.new_epoch = state.epoch;
@@ -314,22 +327,22 @@ int64_t UserWeightStore::NumObservations(uint64_t uid) const {
   return it == stripe.users.end() ? 0 : it->second.num_observations;
 }
 
+void UserWeightStore::ResetTable(const UserWeightWalRecord& record, bool journal) {
+  // All stripes locked while the reset record is journaled and the
+  // bootstrapper reset: the wipe occupies one exact position in the log
+  // relative to every other (stripe-locked) mutation, so replay wipes
+  // at the same point.
+  std::vector<std::unique_lock<std::mutex>> locks = LockAllStripes();
+  LogInOrder(record, journal, [](Bootstrapper& boot) { boot.Reset(); });
+  for (auto& stripe : stripes_) stripe->users.clear();
+}
+
 void UserWeightStore::ResetForNewVersion(const FactorMap& trained_weights,
                                          int32_t model_version) {
-  {
-    // All stripes locked while the reset record is journaled: the wipe
-    // occupies one exact position in the log relative to every other
-    // (stripe-locked) mutation, so replay wipes at the same point.
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(stripes_.size());
-    for (auto& stripe : stripes_) locks.emplace_back(stripe->mu);
-    UserWeightWalRecord record;
-    record.kind = UserWeightWalRecord::Kind::kVersionReset;
-    record.model_version = model_version;
-    JournalAppend(record);
-    for (auto& stripe : stripes_) stripe->users.clear();
-  }
-  if (bootstrapper_ != nullptr) bootstrapper_->Reset();
+  UserWeightWalRecord record;
+  record.kind = UserWeightWalRecord::Kind::kVersionReset;
+  record.model_version = model_version;
+  ResetTable(record, /*journal=*/true);
   for (const auto& [uid, w] : trained_weights) {
     if (w.dim() != options_.dim) continue;  // incompatible snapshot entry
     SeedUser(uid, w, model_version);
@@ -357,24 +370,38 @@ size_t UserWeightStore::num_users() const {
 }
 
 std::vector<uint8_t> UserWeightStore::SerializeStateLocked() const {
-  ByteWriter w;
-  w.PutU32(kStateMagic);
-  w.PutU32(kStateFormat);
-  w.PutU32(static_cast<uint32_t>(options_.dim));
-  w.PutU8(static_cast<uint8_t>(options_.strategy));
-
   // Sorted by uid: identical state serializes to identical bytes no
   // matter how the hash maps happen to iterate (the crash-recovery
-  // tests compare blobs for bit-equality).
+  // tests compare blobs for bit-equality). The image's exact size is
+  // summed on the way, so the encoder allocates once.
   std::vector<std::pair<uint64_t, const UserState*>> users;
+  DenseVector boot_sum;
+  size_t size = 4 + 4 + 4 + 1 + 8 + 1;  // header, user count, bootstrapper flag
+  if (bootstrapper_ != nullptr) {
+    boot_sum = bootstrapper_->SumWeights();
+    size += VectorBytes(boot_sum.dim()) + 8;
+  }
   for (const auto& stripe : stripes_) {
     for (const auto& [uid, state] : stripe->users) {
       users.emplace_back(uid, &state);
+      size += 8 + 4 + 8 + 8 + VectorBytes(state.weights.dim()) +
+              VectorBytes(state.prior.dim()) + 1;
+      if (state.acc != nullptr) {
+        size += MatrixBytes(state.acc->ftf()) + VectorBytes(state.acc->fty().dim()) + 8;
+      } else if (state.sm != nullptr) {
+        size += MatrixBytes(state.sm->a_inverse()) + VectorBytes(state.sm->b().dim()) + 8;
+      }
     }
   }
   std::sort(users.begin(), users.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
+  ByteWriter w;
+  w.Reserve(size);
+  w.PutU32(kStateMagic);
+  w.PutU32(kStateFormat);
+  w.PutU32(static_cast<uint32_t>(options_.dim));
+  w.PutU8(static_cast<uint8_t>(options_.strategy));
   w.PutU64(users.size());
   for (const auto& [uid, state] : users) {
     w.PutU64(uid);
@@ -400,18 +427,17 @@ std::vector<uint8_t> UserWeightStore::SerializeStateLocked() const {
 
   if (bootstrapper_ != nullptr) {
     w.PutU8(1);
-    w.PutDoubleVector(bootstrapper_->SumWeights().values());
+    w.PutDoubleVector(boot_sum.values());
     w.PutI64(bootstrapper_->num_users());
   } else {
     w.PutU8(0);
   }
+  VELOX_DCHECK(w.size() == size);
   return w.Release();
 }
 
 std::vector<uint8_t> UserWeightStore::SerializeState() const {
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) locks.emplace_back(stripe->mu);
+  std::vector<std::unique_lock<std::mutex>> locks = LockAllStripes();
   return SerializeStateLocked();
 }
 
@@ -546,11 +572,7 @@ Status UserWeightStore::ApplyWalRecord(const UserWeightWalRecord& record) {
       return result.ok() ? Status::OK() : result.status();
     }
     case UserWeightWalRecord::Kind::kVersionReset:
-      for (auto& stripe : stripes_) {
-        std::lock_guard<std::mutex> lock(stripe->mu);
-        stripe->users.clear();
-      }
-      if (bootstrapper_ != nullptr) bootstrapper_->Reset();
+      ResetTable(record, /*journal=*/false);
       return Status::OK();
   }
   return Status::InvalidArgument("unknown wal record kind");
@@ -564,15 +586,17 @@ Status UserWeightStore::MaybeSnapshot() {
   {
     // Exact cut: journal appends happen under stripe locks, so with
     // every stripe held the record count equals the mutations the
-    // in-memory image reflects. Only the serialization runs under the
-    // locks; the file write below proceeds with mutators running.
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(stripes_.size());
-    for (const auto& stripe : stripes_) locks.emplace_back(stripe->mu);
+    // in-memory image reflects. Observers that crossed the cadence
+    // together all queue here; the first one rearms the cadence at its
+    // cut, so the others find nothing due and leave.
+    std::vector<std::unique_lock<std::mutex>> locks = LockAllStripes();
+    if (!journal_->SnapshotDue()) return Status::OK();
     cut = journal_->records();
     cut_bytes = journal_->bytes();
+    journal_->AdvanceSnapshotCadence(cut);
     state = SerializeStateLocked();
   }
+  // The write and fsync run with mutators running.
   return journal_->WriteSnapshot(state, cut, cut_bytes);
 }
 

@@ -75,10 +75,11 @@ class UserWeightStore {
   // Attaches the durability journal (non-owning; must outlive the
   // store). Once attached, every mutation — seeds, online updates,
   // cold-start creations, version resets — appends one
-  // UserWeightWalRecord under the mutated user's stripe lock, so
-  // replaying the journal through ApplyWalRecord reproduces this
-  // store's state exactly. Wire during server construction, before any
-  // mutation.
+  // UserWeightWalRecord under the mutated user's stripe lock, in the
+  // same critical section as its change to the bootstrapper's running
+  // sum, so replaying the journal through ApplyWalRecord reproduces
+  // this store's state, sum included, exactly. Wire during server
+  // construction, before any mutation.
   void AttachJournal(UserWeightJournal* journal) { journal_ = journal; }
   UserWeightJournal* journal() const { return journal_; }
 
@@ -155,10 +156,15 @@ class UserWeightStore {
   // fallback or storage — records are self-contained.
   Status ApplyWalRecord(const UserWeightWalRecord& record);
 
-  // If a journal is attached and its snapshot interval elapsed, takes a
-  // consistent cut (all stripe locks held while the in-memory image is
-  // serialized; the file write proceeds with mutators running) and
-  // persists it. Cheap no-op otherwise; call from the observe path.
+  // If a journal is attached and its snapshot interval elapsed, takes
+  // an exact cut and persists it. With every stripe lock held it
+  // re-checks SnapshotDue(), moves the journal's cadence point to the
+  // cut and encodes the image; the locks are then released and the
+  // file is written and fsynced on the calling thread. So each cadence
+  // crossing is encoded and written once, however many observers cross
+  // it together, and a failed write is retried at the next crossing,
+  // not on the next call. A non-due call costs SnapshotDue(): an atomic
+  // load and the WAL mutex. Call from the observe path.
   Status MaybeSnapshot();
 
   size_t num_users() const;
@@ -185,6 +191,8 @@ class UserWeightStore {
   };
 
   Stripe& StripeFor(uint64_t uid) const;
+  // Every stripe lock, in index order (the exact cut and version reset).
+  std::vector<std::unique_lock<std::mutex>> LockAllStripes() const;
   // Creates strategy state for a fresh user.
   UserState MakeState(const DenseVector& weights, int32_t model_version) const;
   // Recovery attempt for an absent user; empty optional if none.
@@ -202,6 +210,14 @@ class UserWeightStore {
   // the append fails (serving availability over durability), matching
   // the observe path's degraded-mode policy.
   void JournalAppend(const UserWeightWalRecord& record);
+  // Journals `record` (if `journal`) and applies `change` to the
+  // bootstrapper (if any) as one step under log_order_mu_. Callers hold
+  // the mutated user's stripe lock.
+  template <typename SumChange>
+  void LogInOrder(const UserWeightWalRecord& record, bool journal, SumChange&& change);
+  // Version-reset body: wipes the table and the bootstrapper under every
+  // stripe lock; `journal` false on the WAL replay path.
+  void ResetTable(const UserWeightWalRecord& record, bool journal);
   // SerializeState body; caller holds every stripe lock.
   std::vector<uint8_t> SerializeStateLocked() const;
 
@@ -210,6 +226,12 @@ class UserWeightStore {
   RecoveryFn recovery_;
   UserWeightJournal* journal_ = nullptr;
   std::vector<std::unique_ptr<Stripe>> stripes_;
+  // Orders every mutation's journal append with its change to the
+  // bootstrapper's running sum. Mutations on different stripes run
+  // concurrently, and floating-point addition does not commute
+  // bit-for-bit, so the sum must accumulate in record order for replay
+  // to reproduce it. Taken inside a stripe lock, never around one.
+  std::mutex log_order_mu_;
 };
 
 }  // namespace velox

@@ -479,16 +479,18 @@ std::string VeloxServer::MetricsReport(MetricsRegistry* registry) const {
   // User-weight durability: journal volume and what the last recovery
   // actually did (snapshot restore vs. WAL replay).
   if (!config_.durability.dir.empty()) {
-    uint64_t appends = 0, records = 0, snapshots = 0;
+    uint64_t appends = 0, records = 0, snapshots = 0, snapshot_failures = 0;
     for (const auto& node : per_node_) {
       if (node->journal == nullptr) continue;
       appends += node->journal->appends();
       records += node->journal->records();
       snapshots += node->journal->snapshots_written();
+      snapshot_failures += node->journal->snapshot_failures();
     }
     set_counter("wal.appends", appends);
     set_counter("wal.records", records);
     set_counter("wal.snapshots", snapshots);
+    set_counter("wal.snapshot_failures", snapshot_failures);
     set_counter("recovery.replayed_records", last_recovery_.replayed_records);
     set_counter("recovery.snapshot_covered", last_recovery_.snapshot_covered_records);
     set_counter("recovery.skipped_records", last_recovery_.skipped_records);

@@ -220,6 +220,14 @@ bool UserWeightJournal::SnapshotDue() const {
          last_snapshot_covers_.load(std::memory_order_relaxed) + options_.snapshot_every;
 }
 
+void UserWeightJournal::AdvanceSnapshotCadence(uint64_t wal_records_covered) {
+  uint64_t current = last_snapshot_covers_.load(std::memory_order_relaxed);
+  while (current < wal_records_covered &&
+         !last_snapshot_covers_.compare_exchange_weak(current, wal_records_covered,
+                                                      std::memory_order_relaxed)) {
+  }
+}
+
 Status UserWeightJournal::WriteSnapshot(const std::vector<uint8_t>& state,
                                         uint64_t wal_records_covered,
                                         uint64_t wal_bytes_covered) {
@@ -232,11 +240,16 @@ Status UserWeightJournal::WriteSnapshot(const std::vector<uint8_t>& state,
   // a machine crash could leave a snapshot covering records the WAL
   // never persisted (harmless) while losing newer ones it should have
   // kept (also harmless — but sync keeps the artifacts consistent).
-  VELOX_RETURN_NOT_OK(wal_->Sync());
-  VELOX_RETURN_NOT_OK(SaveUserWeightSnapshotFile(options_.snapshot_path, state,
-                                                 wal_records_covered,
-                                                 wal_bytes_covered));
-  last_snapshot_covers_.store(wal_records_covered, std::memory_order_relaxed);
+  Status written = wal_->Sync();
+  if (written.ok()) {
+    written = SaveUserWeightSnapshotFile(options_.snapshot_path, state,
+                                         wal_records_covered, wal_bytes_covered);
+  }
+  if (!written.ok()) {
+    snapshot_failures_.fetch_add(1, std::memory_order_relaxed);
+    return written;
+  }
+  AdvanceSnapshotCadence(wal_records_covered);
   snapshots_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }

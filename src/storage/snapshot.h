@@ -14,12 +14,14 @@
 //    reconstructs W *and* the sufficient statistics bit-identically
 //    (every update is a deterministic FP-op sequence on logged data;
 //    replay never consults θ, the bootstrapper, or storage);
-//  * periodically the whole table is serialized (a copy-on-write-style
-//    cut: stripe locks are held only while the in-memory image is
-//    copied, the file write happens with mutators running) into a
-//    snapshot file stamped with the WAL record count it covers, so
-//    restart recovery is "load newest valid snapshot, replay the WAL
-//    suffix" instead of replaying from genesis.
+//  * once per `snapshot_every` records the whole table is encoded at
+//    an exact cut: the store holds every stripe lock, so no mutation
+//    runs on the node while the image is encoded, and the cut's record
+//    count is exactly what the image reflects. The locks are then
+//    released and the image is written (tmp + fsync + rename) on the
+//    same thread into a snapshot file stamped with the WAL record count
+//    it covers, so restart recovery is "load newest valid snapshot,
+//    replay the WAL suffix" instead of replaying from genesis.
 //
 // Loss bounds per WalSyncPolicy (see storage/wal.h): under kFsync
 // (every-N group commit) at most the last N-1 acknowledged mutations
@@ -114,10 +116,10 @@ class UserWeightJournal {
  public:
   static Result<std::unique_ptr<UserWeightJournal>> Open(UserWeightJournalOptions options);
 
-  // Appends one mutation under the WAL's sync policy. Callers hold the
-  // mutated user's stripe lock, so per-user record order matches
-  // mutation order (cross-user order is arbitrary but cross-user
-  // mutations commute).
+  // Appends one mutation under the WAL's sync policy. UserWeightStore
+  // appends under the mutated user's stripe lock, together with the
+  // mutation's change to the bootstrapper's running sum, so record
+  // order is mutation order per user and summation order across users.
   Status Append(const UserWeightWalRecord& record);
 
   // Group-commit window forwarded to the underlying WAL (see
@@ -131,14 +133,22 @@ class UserWeightJournal {
   uint64_t group_commits() const { return wal_->group_commits(); }
 
   // True when snapshot_every > 0 and that many records accumulated
-  // past the last snapshot.
+  // past the cadence point (the last cut taken or written). Reads the
+  // record count under the WAL mutex.
   bool SnapshotDue() const;
+
+  // Moves the cadence point to `wal_records_covered` if that is later
+  // than it; it never moves back. A store calls it at its cut, before
+  // encoding, so observers that arrive while the image is written find
+  // the crossing already taken.
+  void AdvanceSnapshotCadence(uint64_t wal_records_covered);
 
   // Persists `state` as covering the first `wal_records_covered` WAL
   // records (`wal_bytes_covered` bytes — both taken from records() /
   // bytes() at the same consistent cut). Syncs the WAL first so the
-  // cover point is itself durable. Serialized internally; concurrent
-  // callers queue.
+  // cover point is itself durable, then advances the cadence point to
+  // the cut. Serialized internally; concurrent callers queue. A failed
+  // sync or write counts in snapshot_failures().
   Status WriteSnapshot(const std::vector<uint8_t>& state, uint64_t wal_records_covered,
                        uint64_t wal_bytes_covered);
 
@@ -157,6 +167,12 @@ class UserWeightJournal {
   uint64_t snapshots_written() const {
     return snapshots_.load(std::memory_order_relaxed);
   }
+  // WriteSnapshot calls whose WAL sync or file write failed (the
+  // wal.snapshot_failures metric). Recovery then replays a longer
+  // suffix; nothing served is affected.
+  uint64_t snapshot_failures() const {
+    return snapshot_failures_.load(std::memory_order_relaxed);
+  }
 
   const UserWeightJournalOptions& options() const { return options_; }
 
@@ -168,8 +184,10 @@ class UserWeightJournal {
   std::unique_ptr<WriteAheadLog> wal_;
   UserWeightRecovery recovered_;
   std::mutex snapshot_mu_;
+  // Cadence point: the latest cut taken or written. Only advances.
   std::atomic<uint64_t> last_snapshot_covers_{0};
   std::atomic<uint64_t> snapshots_{0};
+  std::atomic<uint64_t> snapshot_failures_{0};
 };
 
 }  // namespace velox

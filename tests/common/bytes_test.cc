@@ -205,6 +205,32 @@ TEST(BytesTest, RandomRoundTripFuzz) {
   }
 }
 
+// The wire format every snapshot, WAL record and stored factor uses:
+// fixed-width little-endian, doubles as their IEEE-754 bits.
+TEST(BytesTest, EncodingIsPinnedLittleEndian) {
+  ByteWriter w;
+  w.Reserve(64);
+  w.PutU8(0x7f);
+  w.PutU32(0x04030201u);
+  w.PutU64(0x0807060504030201ULL);
+  w.PutDouble(1.0);
+  w.PutDoubleVector({-2.0});
+  const double row[2] = {0.5, 0.0};
+  w.PutDoubles(row, 2);
+  w.PutDoubles(nullptr, 0);
+  const std::vector<uint8_t> expected = {
+      0x7f,                                            // u8
+      0x01, 0x02, 0x03, 0x04,                          // u32
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // u64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,  // 1.0
+      0x01, 0x00, 0x00, 0x00,                          // vector length
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0,  // -2.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // 0.5, no prefix
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 0.0
+  };
+  EXPECT_EQ(w.data(), expected);
+}
+
 TEST(BytesTest, ReleaseMovesBufferOut) {
   ByteWriter w;
   w.PutU32(99);

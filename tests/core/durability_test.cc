@@ -1,6 +1,7 @@
 // Durable user-weight serving state: crash-recovery properties of the
 // journal (every-byte-offset truncation), snapshot + suffix replay
-// equivalence, and kill-and-restart VeloxServer recovery.
+// equivalence (also under concurrent observers), one snapshot per
+// cadence crossing, and kill-and-restart VeloxServer recovery.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -9,7 +10,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/shell.h"
@@ -205,6 +208,140 @@ TEST(DurabilityEquivalenceTest, SnapshotPlusSuffixMatchesGenesisReplay) {
   std::remove(jopts.snapshot_path.c_str());
 }
 
+// --- concurrent observers ---
+
+// Replays a journal's whole WAL from genesis into a fresh store.
+std::vector<uint8_t> GenesisReplay(const std::string& wal_path,
+                                   const UserWeightStoreOptions& options) {
+  auto wal = WriteAheadLog::Open(wal_path);
+  VELOX_CHECK_OK(wal.status());
+  Bootstrapper boot(options.dim);
+  UserWeightStore store(options, &boot);
+  for (const auto& payload : (*wal)->TakeRecoveredPayloads()) {
+    auto record = UserWeightWalRecord::Deserialize(payload);
+    VELOX_CHECK_OK(record.status());
+    VELOX_CHECK_OK(store.ApplyWalRecord(*record));
+  }
+  return store.SerializeState();
+}
+
+DenseVector ObservedFeatures(size_t dim, uint64_t t, uint64_t i) {
+  DenseVector f(dim);
+  for (size_t j = 0; j < dim; ++j) {
+    f[j] = 0.1 * static_cast<double>((t * 7 + i * 13 + j * 3) % 29) - 1.4;
+  }
+  return f;
+}
+
+// Observers on different stripes journal and feed the bootstrapper's
+// running sum concurrently; the sum is in the image (its last bytes),
+// so replay matches only if the sum accumulated in record order.
+TEST(DurabilityConcurrencyTest, ConcurrentObserversReplayToTheLiveState) {
+  constexpr uint64_t kThreads = 3;
+  constexpr uint64_t kObserves = 3000;
+  constexpr uint64_t kUsersPerThread = 500;
+  UserWeightStoreOptions options;
+  options.dim = 10;
+  options.num_stripes = 32;
+  for (int round = 0; round < 10; ++round) {
+    UserWeightJournalOptions jopts;
+    jopts.wal_path = TempPath("dur_concurrent.wal");
+    jopts.wal.sync = WalSyncPolicy::kNone;
+    auto journal = UserWeightJournal::Open(jopts);
+    ASSERT_TRUE(journal.ok());
+    std::vector<uint8_t> live;
+    {
+      Bootstrapper boot(options.dim);
+      UserWeightStore store(options, &boot);
+      store.AttachJournal(journal->get());
+      std::vector<std::thread> observers;
+      for (uint64_t t = 0; t < kThreads; ++t) {
+        observers.emplace_back([&store, &options, t] {
+          for (uint64_t i = 0; i < kObserves; ++i) {
+            // Each thread owns the uids congruent to t mod kThreads.
+            uint64_t uid = t + kThreads * (i % kUsersPerThread);
+            VELOX_CHECK_OK(store
+                               .ApplyObservation(uid, ObservedFeatures(options.dim, t, i),
+                                                 1.0 + static_cast<double>(i % 5))
+                               .status());
+          }
+        });
+      }
+      for (auto& observer : observers) observer.join();
+      live = store.SerializeState();
+    }
+    journal->reset();  // flushes the kNone WAL
+    ASSERT_EQ(GenesisReplay(jopts.wal_path, options), live) << "round " << round;
+    std::remove(jopts.wal_path.c_str());
+  }
+}
+
+// Two observers cross each cadence point together; only one of them
+// may take the cut. The first snapshot falls on the first observe (the
+// seeds already exceed the cadence), and every later one needs
+// `snapshot_every` more records past the previous cut.
+TEST(DurabilityConcurrencyTest, OneSnapshotPerCadenceCrossing) {
+  constexpr uint64_t kUsers = 2000;
+  constexpr uint64_t kObservesPerThread = 4096;
+  constexpr uint64_t kEvery = 512;
+  UserWeightStoreOptions options;
+  options.dim = 10;
+  options.num_stripes = 32;
+  UserWeightJournalOptions jopts;
+  jopts.wal_path = TempPath("dur_one_cut.wal");
+  jopts.snapshot_path = TempPath("dur_one_cut.snap");
+  jopts.wal.sync = WalSyncPolicy::kNone;
+  jopts.snapshot_every = kEvery;
+  auto journal = UserWeightJournal::Open(jopts);
+  ASSERT_TRUE(journal.ok());
+  Bootstrapper boot(options.dim);
+  UserWeightStore store(options, &boot);
+  store.AttachJournal(journal->get());
+  for (uint64_t u = 0; u < kUsers; ++u) {
+    store.SeedUser(u, ObservedFeatures(options.dim, 9, u), 1);
+  }
+  std::vector<std::thread> observers;
+  for (uint64_t t = 0; t < 2; ++t) {
+    observers.emplace_back([&store, &options, t] {
+      for (uint64_t i = 0; i < kObservesPerThread; ++i) {
+        uint64_t uid = (i * 7919 + t * 1000) % kUsers;
+        VELOX_CHECK_OK(
+            store.ApplyObservation(uid, ObservedFeatures(options.dim, t, i), 1.0)
+                .status());
+        VELOX_CHECK_OK(store.MaybeSnapshot());
+      }
+    });
+  }
+  for (auto& observer : observers) observer.join();
+
+  const uint64_t records = (*journal)->records();
+  ASSERT_EQ(records, kUsers + 2 * kObservesPerThread);
+  const uint64_t crossings = 1 + (records - (kUsers + 1)) / kEvery;
+  EXPECT_EQ(crossings, 16u);
+  EXPECT_GE((*journal)->snapshots_written(), 1u);
+  EXPECT_LE((*journal)->snapshots_written(), crossings);
+  EXPECT_EQ((*journal)->snapshot_failures(), 0u);
+
+  // Every cut was exact: the newest snapshot plus its suffix rebuilds
+  // the live state bit for bit.
+  std::vector<uint8_t> live = store.SerializeState();
+  store.AttachJournal(nullptr);
+  journal->reset();
+  auto reopened = UserWeightJournal::Open(jopts);
+  ASSERT_TRUE(reopened.ok());
+  UserWeightRecovery recovery = (*reopened)->TakeRecovered();
+  ASSERT_TRUE(recovery.snapshot_loaded);
+  Bootstrapper boot2(options.dim);
+  UserWeightStore restored(options, &boot2);
+  ASSERT_TRUE(restored.RestoreState(recovery.snapshot_state).ok());
+  for (const auto& record : recovery.suffix) {
+    ASSERT_TRUE(restored.ApplyWalRecord(record).ok());
+  }
+  EXPECT_EQ(restored.SerializeState(), live);
+  std::remove(jopts.wal_path.c_str());
+  std::remove(jopts.snapshot_path.c_str());
+}
+
 // --- server kill-and-restart ---
 
 VeloxServerConfig DurableConfig(int32_t nodes, const std::string& dir) {
@@ -369,6 +506,36 @@ TEST(ServerDurabilityTest, TornTailLosesBoundedSuffixUnderFlush) {
   EXPECT_TRUE(server2.Predict(3, MakeItem(5)).ok());
   ASSERT_TRUE(server2.Observe(3, MakeItem(5), 4.0).ok());
   EXPECT_EQ(server2.user_weights(0)->NumObservations(3), 20);
+}
+
+// An unwritable snapshot path costs one failed attempt per cadence
+// crossing, counted by the journal; observes stay OK and undegraded.
+TEST(ServerDurabilityTest, FailedSnapshotIsCountedOncePerCrossingNotDegraded) {
+  std::string dir = DurabilityDir("dur_snapfail");
+  std::string tmp = dir + "/user_weights_node0.snap.tmp";
+  ::rmdir(tmp.c_str());
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0755), 0);  // the snapshot cannot open its tmp file
+  auto config = DurableConfig(1, dir);
+  config.durability.snapshot_every = 16;
+  {
+    VeloxServer server(config, SmallModel());
+    ASSERT_TRUE(server.InstallVersion(SmallOutput()).ok());
+    for (int i = 0; i < 64; ++i) {
+      uint64_t uid = static_cast<uint64_t>(i) % 10;
+      ASSERT_TRUE(server.Observe(uid, MakeItem(uid), 3.0).ok()) << "observe " << i;
+    }
+    const UserWeightJournal* journal = server.user_weight_journal(0);
+    ASSERT_NE(journal, nullptr);
+    // One record per mutation and no write succeeds, so the cut falls
+    // on every multiple of the cadence.
+    EXPECT_EQ(journal->snapshot_failures(), journal->records() / 16);
+    EXPECT_GE(journal->snapshot_failures(), 4u);
+    EXPECT_EQ(journal->snapshots_written(), 0u);
+    EXPECT_EQ(server.DegradedCount(), 0u);
+    std::string metrics = server.MetricsReport();
+    EXPECT_NE(metrics.find("wal.snapshot_failures"), std::string::npos);
+  }
+  ::rmdir(tmp.c_str());
 }
 
 TEST(ServerDurabilityTest, RecoverWithoutDurabilityConfiguredFails) {

@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
-# Stress loop for the batch tier: runs the suites that drive real ALS
-# retrains through ParallelFor (retrain_scheduler_test, failover_test)
+# Stress loop for timing races that only an optimized build opens:
+# runs the suites that drive real ALS retrains through ParallelFor
+# (retrain_scheduler_test, failover_test) and the journal's concurrent
+# observers (durability_test: the bootstrapper's running sum must
+# replay bit for bit, and each cadence crossing must take one snapshot)
 # back to back in 4 parallel loops for a fixed wall-clock duration,
 # killing any single run after 20 s. A lost ParallelFor wake-up shows
-# up as a hang (killed) or a crash; the script fails on any non-zero
-# exit, crash or kill and keeps the failing run's output.
+# up as a hang (killed) or a crash, a journal race as a failed
+# assertion; the script fails on any non-zero exit, crash or kill and
+# keeps the failing run's output.
 #
 # Usage: tools/stress_batch_tier.sh <build-dir> <seconds>
-#   e.g. cmake --build build -j --target retrain_scheduler_test failover_test
+#   e.g. cmake --build build -j --target retrain_scheduler_test failover_test \
+#          durability_test
 #        tools/stress_batch_tier.sh build 60
 set -u
 
@@ -19,7 +24,7 @@ build=$(cd "$1" && pwd) || exit 2
 seconds=$2
 loops=4
 per_run_limit=20
-suites=(retrain_scheduler_test failover_test)
+suites=(retrain_scheduler_test failover_test durability_test)
 
 for s in "${suites[@]}"; do
   if [[ ! -x "$build/tests/$s" ]]; then
@@ -36,6 +41,9 @@ run_loop() {
   local id=$1 runs=0 fails=0 rc
   mkdir -p "$work/$id"
   cd "$work/$id" || return
+  # durability_test keeps its journal files in gtest's TempDir(); one
+  # directory per loop keeps the parallel loops off each other's files.
+  export TEST_TMPDIR="$work/$id"
   while (($(date +%s) < end)); do
     for s in "${suites[@]}"; do
       timeout -k 5 "$per_run_limit" "$build/tests/$s" >out.log 2>&1
