@@ -7,8 +7,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+// Set per target by bench/CMakeLists.txt.
+#ifndef VELOX_BENCH_BUILD_TYPE
+#define VELOX_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef VELOX_BENCH_COMPILER
+#define VELOX_BENCH_COMPILER "unknown"
+#endif
 
 namespace velox::bench {
 
@@ -71,9 +80,11 @@ inline std::string FmtInt(long long v) {
 }
 
 // Machine-readable results: accumulates flat rows of (key, value)
-// pairs and writes {"bench": <name>, "rows": [{...}, ...]} to a
-// BENCH_<name>.json file, so successive PRs can diff perf
-// trajectories instead of scraping stdout tables.
+// pairs and writes {"bench": <name>, "provenance": {...}, "rows":
+// [{...}, ...]} to a BENCH_<name>.json file, so successive PRs can diff
+// perf trajectories instead of scraping stdout tables. The provenance
+// names the build type, compiler, CPU count, smoke flag and the git sha
+// exported as VELOX_GIT_SHA ("unknown" when unset).
 class JsonRows {
  public:
   JsonRows(std::string bench_name, std::string path)
@@ -128,8 +139,8 @@ class JsonRows {
       std::fprintf(stderr, "bench: cannot write %s\n", path_.c_str());
       return false;
     }
-    std::fprintf(f, "{\n  \"bench\": %s,\n  \"rows\": [\n",
-                 Str(bench_name_).c_str());
+    std::fprintf(f, "{\n  \"bench\": %s,\n  \"provenance\": %s,\n  \"rows\": [\n",
+                 Str(bench_name_).c_str(), Provenance().c_str());
     for (size_t i = 0; i < rows_.size(); ++i) {
       std::fprintf(f, "%s%s\n", rows_[i].c_str(),
                    i + 1 < rows_.size() ? "," : "");
@@ -145,6 +156,15 @@ class JsonRows {
   }
 
  private:
+  static std::string Provenance() {
+    const char* sha = std::getenv("VELOX_GIT_SHA");
+    return "{\"build_type\": " + Str(VELOX_BENCH_BUILD_TYPE) +
+           ", \"compiler\": " + Str(VELOX_BENCH_COMPILER) +
+           ", \"nproc\": " + Num(static_cast<long long>(std::thread::hardware_concurrency())) +
+           ", \"smoke\": " + (SmokeMode() ? "true" : "false") +
+           ", \"git_sha\": " + Str(sha != nullptr && *sha != '\0' ? sha : "unknown") + "}";
+  }
+
   std::string bench_name_;
   std::string path_;
   std::vector<std::string> rows_;

@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the serving-path kernels: the
 // Eq. 1 dot product, feature-function evaluation, Eq. 2 solves (naive
 // Cholesky vs Sherman–Morrison), cache operations, the storage codec,
-// one candidate topK through VeloxServer, and the durability path's
-// snapshot cut and journal append. These are the primitives whose
+// one candidate topK through VeloxServer, the durability path's
+// snapshot cut and journal append, and offline ALS training and a full
+// retrain + install. These are the primitives whose
 // costs compose into Figures 3 and 4; keeping them visible guards
 // against performance regressions.
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "batch/executor.h"
 #include "common/lru.h"
 #include "common/random.h"
 #include "core/feature_cache.h"
@@ -26,6 +28,7 @@
 #include "linalg/ridge.h"
 #include "linalg/scoring_kernels.h"
 #include "linalg/sherman_morrison.h"
+#include "ml/als.h"
 #include "ml/feature_function.h"
 #include "server/dispatcher.h"
 #include "storage/snapshot.h"
@@ -355,6 +358,70 @@ void BM_WalAppendObservation(benchmark::State& state) {
   std::remove(options.wal_path.c_str());
 }
 BENCHMARK(BM_WalAppendObservation);
+
+// Offline training and install at a fixed size: 100k ratings over
+// 5,000 users x 5,000 items (uniform ids and labels), rank 10, 5 ALS
+// iterations, 2 batch workers.
+constexpr size_t kTrainRank = 10;
+
+const std::vector<Observation>& TrainRatings() {
+  static const std::vector<Observation> ratings = [] {
+    Rng rng(61);
+    std::vector<Observation> out;
+    out.reserve(100'000);
+    for (int64_t n = 0; n < 100'000; ++n) {
+      Observation obs;
+      obs.uid = rng.UniformU64(5000);
+      obs.item_id = rng.UniformU64(5000);
+      obs.label = rng.UniformDouble(1.0, 5.0);
+      obs.timestamp = n;
+      out.push_back(obs);
+    }
+    return out;
+  }();
+  return ratings;
+}
+
+AlsConfig TrainConfig() {
+  AlsConfig als;
+  als.rank = kTrainRank;
+  als.iterations = 5;
+  return als;
+}
+
+// One AlsTrainer::Train: the index build and 10 half-step stages.
+void BM_AlsTrain(benchmark::State& state) {
+  const std::vector<Observation>& ratings = TrainRatings();
+  BatchExecutor executor(2);
+  AlsTrainer trainer(TrainConfig());
+  for (auto _ : state) {
+    auto model = trainer.Train(&executor, ratings);
+    VELOX_CHECK_OK(model.status());
+    benchmark::DoNotOptimize(model->item_factors.size());
+  }
+}
+BENCHMARK(BM_AlsTrain)->Unit(benchmark::kMillisecond);
+
+// One full retrain on a bootstrapped 2-node server holding the same
+// ratings: ALS, version install (plane, W publish, reseed) and the
+// per-node log replay.
+void BM_RetrainNow(benchmark::State& state) {
+  VeloxServerConfig config;
+  config.num_nodes = 2;
+  config.dim = kTrainRank;
+  config.batch_workers = 2;
+  config.topk_scan_threads = 1;
+  config.evaluator.min_observations = 1'000'000'000;  // no auto retrain
+  VeloxServer server(config, std::make_unique<MatrixFactorizationModel>("bench",
+                                                                        TrainConfig()));
+  VELOX_CHECK_OK(server.Bootstrap(TrainRatings()));
+  for (auto _ : state) {
+    auto report = server.RetrainNow();
+    VELOX_CHECK_OK(report.status());
+    benchmark::DoNotOptimize(report->new_version);
+  }
+}
+BENCHMARK(BM_RetrainNow)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(1'000'000, 1.0);

@@ -46,6 +46,10 @@ const char* StageName(Stage stage) {
       return "batch_form";
     case Stage::kBatchExecute:
       return "batch_execute";
+    case Stage::kInstallReplay:
+      return "install_replay";
+    case Stage::kSnapshotCut:
+      return "snapshot_cut";
   }
   return "unknown";
 }

@@ -43,9 +43,11 @@ enum class Stage : int {
   kIncrementalSolve,       // frozen-basis re-solve of drifted item factors
   kBatchForm,              // cross-request batch formation (drain + linger)
   kBatchExecute,           // grouped batch execution through the frontend
+  kInstallReplay,          // per-node log replay into a new version's user state
+  kSnapshotCut,            // snapshot's all-stripe hold: re-check + image encode
 };
 
-inline constexpr int kNumStages = 20;
+inline constexpr int kNumStages = 22;
 
 // Short stable identifier used in metrics names and JSON keys.
 const char* StageName(Stage stage);

@@ -6,7 +6,7 @@
 
 #include "cluster/router.h"
 #include "common/logging.h"
-#include "linalg/ridge.h"
+#include "ml/als.h"
 #include "ml/feature_function.h"
 
 namespace velox {
@@ -127,6 +127,7 @@ Result<RetrainOutput> IncrementalTrainer::Refresh(
     BatchExecutor* executor, const std::vector<Observation>& observations,
     const FactorMap& warm_user_weights, const ModelVersion& previous,
     const std::vector<uint64_t>& refresh_items) const {
+  if (executor == nullptr) return Status::InvalidArgument("executor is null");
   if (refresh_items.empty()) {
     return Status::InvalidArgument("no items selected for incremental refresh");
   }
@@ -175,38 +176,66 @@ Result<RetrainOutput> IncrementalTrainer::Refresh(
         "partial incremental refresh supports matrix-factorization models only");
   }
   const AlsConfig& als = mf->als_config();
+  const size_t dim = model_->dim();
   const FactorMap* prior_weights = previous.trained_user_weights.get();
-  std::unordered_map<uint64_t, RidgeAccumulator> per_item;
+  // The frozen basis: one row per observing user — the live weight,
+  // else the previous trained one — numbered on first use. A user with
+  // neither (or a wrong-dimension one) has no row, and their
+  // observations are skipped.
+  std::unordered_map<uint64_t, int64_t> basis_row;
+  std::vector<double> basis;
+  std::unordered_map<uint64_t, uint32_t> item_row;
+  std::vector<uint64_t> item_ids;
+  std::vector<uint32_t> example_item;
+  std::vector<uint32_t> example_user;
+  std::vector<double> example_label;
   for (const Observation& obs : observations) {
     if (selected.count(obs.item_id) == 0) continue;
-    const DenseVector* w = nullptr;
-    if (auto it = warm_user_weights.find(obs.uid); it != warm_user_weights.end()) {
-      w = &it->second;
-    } else if (prior_weights != nullptr) {
-      if (auto it = prior_weights->find(obs.uid); it != prior_weights->end()) {
+    auto [b, first_use] = basis_row.try_emplace(obs.uid, -1);
+    if (first_use) {
+      const DenseVector* w = nullptr;
+      if (auto it = warm_user_weights.find(obs.uid); it != warm_user_weights.end()) {
         w = &it->second;
+      } else if (prior_weights != nullptr) {
+        if (auto it = prior_weights->find(obs.uid); it != prior_weights->end()) {
+          w = &it->second;
+        }
+      }
+      if (w != nullptr && w->dim() == dim) {
+        b->second = static_cast<int64_t>(basis.size() / dim);
+        basis.insert(basis.end(), w->data(), w->data() + dim);
       }
     }
-    if (w == nullptr || w->dim() != model_->dim()) continue;  // no basis row
-    per_item.try_emplace(obs.item_id, model_->dim())
-        .first->second.AddExample(*w, obs.label);
+    if (b->second < 0) continue;  // no basis row
+    auto [it, new_item] =
+        item_row.try_emplace(obs.item_id, static_cast<uint32_t>(item_ids.size()));
+    if (new_item) item_ids.push_back(obs.item_id);
+    example_item.push_back(it->second);
+    example_user.push_back(static_cast<uint32_t>(b->second));
+    example_label.push_back(obs.label);
   }
-  if (per_item.empty()) {
+  if (item_ids.empty()) {
     return Status::FailedPrecondition(
         "selected items have no logged observations");
   }
+  // Each item accumulates its observations in log order.
+  const RatingCsr by_item = GroupRatings(item_ids.size(), example_item, example_user,
+                                         example_label, /*num_partitions=*/1);
+  std::vector<double> refreshed(item_ids.size() * dim);
+  std::vector<uint8_t> solved;
+  VELOX_RETURN_NOT_OK(SolveRidgeRows(executor, "incremental-solve-items", by_item,
+                                     basis.data(), dim, als.lambda,
+                                     als.weighted_regularization, als.num_partitions,
+                                     refreshed.data(), &solved));
 
   // Merge θ: refreshed factors win; everything else keeps its
   // previous-version factor. A selected item with no usable
   // observations (or a singular system) keeps its old factor too.
   auto merged_factors = std::make_shared<FactorMap>(previous_table->table());
-  for (auto& [item_id, acc] : per_item) {
-    double reg = als.weighted_regularization
-                     ? als.lambda * static_cast<double>(acc.num_examples())
-                     : als.lambda;
-    auto solved = acc.Solve(reg);
-    if (!solved.ok()) continue;
-    (*merged_factors)[item_id] = std::move(solved).value();
+  for (size_t r = 0; r < item_ids.size(); ++r) {
+    if (solved[r] == 0) continue;
+    const double* x = refreshed.data() + r * dim;
+    (*merged_factors)[item_ids[r]] = DenseVector(std::vector<double>(x, x + dim));
   }
 
   // W is untouched: the frozen-basis solve never moves user weights, so

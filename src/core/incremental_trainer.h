@@ -159,12 +159,15 @@ class IncrementalTrainer {
   // support incremental refreshes.
   explicit IncrementalTrainer(const VeloxModel* model);
 
-  // Restricted retrain: runs model->Retrain over the sub-log of
-  // `observations` whose item is in `refresh_items` (warm-started from
-  // `warm_user_weights`, exactly like the full path), then merges the
-  // result into `previous`'s θ and trained W. The returned output's
-  // training_rmse is recomputed for the *merged* model over the full
-  // log, so the evaluator baseline stays comparable to a full retrain.
+  // Restricted retrain: re-solves each item of `refresh_items` against
+  // the frozen user basis (`warm_user_weights`, else `previous`'s
+  // trained W) over its logged observations in log order, as one stage
+  // of ALS's half-step kernel (SolveRidgeRows), then merges the result
+  // into `previous`'s θ; W is inherited. A selection covering every
+  // item runs model->Retrain instead (the bit-identity contract). The
+  // returned output's training_rmse is recomputed for the *merged*
+  // model over the full log, so the evaluator baseline stays comparable
+  // to a full retrain.
   Result<RetrainOutput> Refresh(BatchExecutor* executor,
                                 const std::vector<Observation>& observations,
                                 const FactorMap& warm_user_weights,

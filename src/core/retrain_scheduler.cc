@@ -1,7 +1,9 @@
 #include "core/retrain_scheduler.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/clock.h"
@@ -79,6 +81,58 @@ class IncrementalJob final : public BatchJob {
   const ModelVersion* previous_;
   const std::vector<uint64_t>* refresh_items_;
   RetrainOutput output_;
+};
+
+// One logged observation, resolved for the post-install replay: the new
+// θ's factor for its item, borrowed from the install's factor map.
+struct ReplayOp {
+  uint64_t uid;
+  const DenseVector* features;
+  double label;
+};
+
+// The post-install replay as a batch job: node n's observations apply
+// to its user state in log order as task n of one stage, so every node
+// sees the updates, in the order, of a serial replay of the whole log.
+class ReplayJob final : public BatchJob {
+ public:
+  ReplayJob(const std::vector<NodeComponents>* nodes,
+            std::vector<std::vector<ReplayOp>> per_node)
+      : nodes_(nodes), per_node_(std::move(per_node)), skipped_(per_node_.size(), 0) {}
+
+  std::string name() const override { return "install-replay"; }
+
+  Status Run(BatchExecutor* executor) override {
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(per_node_.size());
+    for (size_t n = 0; n < per_node_.size(); ++n) {
+      if (per_node_[n].empty()) continue;
+      tasks.push_back([this, n] {
+        UserWeightStore* weights = (*nodes_)[n].weights;
+        for (const ReplayOp& op : per_node_[n]) {
+          // A single bad observation (corrupt entry, stale-dimension
+          // factor) must not abort the install: at this point the
+          // caches are cleared and weights reseeded, so failing here
+          // would strand the node half-installed. Skip it and count it.
+          if (!weights->ApplyObservation(op.uid, *op.features, op.label).ok()) {
+            ++skipped_[n];
+          }
+        }
+      });
+    }
+    return executor->RunStage("install-replay", std::move(tasks));
+  }
+
+  size_t skipped() const {
+    size_t total = 0;
+    for (size_t s : skipped_) total += s;
+    return total;
+  }
+
+ private:
+  const std::vector<NodeComponents>* nodes_;
+  std::vector<std::vector<ReplayOp>> per_node_;
+  std::vector<size_t> skipped_;
 };
 
 // Batch publish of a factor table: the driver (node 0) ships `factors`
@@ -344,6 +398,10 @@ Result<RetrainReport> RetrainScheduler::InstallOutput(
     }
   }
 
+  // Stage histograms describe a serving system, so the first install —
+  // set-up, before any version could serve — is left untimed.
+  StageRegistry* install_stages = registry_->Current().ok() ? stages_ : nullptr;
+
   // 2. Register the new immutable version.
   auto weights_snapshot = std::make_shared<FactorMap>(output.user_weights);
   int32_t version = registry_->Register(
@@ -416,34 +474,44 @@ Result<RetrainReport> RetrainScheduler::InstallOutput(
   // 5b. Replay the observation log into the online user state: each
   //     w_u becomes the exact Eq. 2 solution over all of the user's
   //     observations under the new θ, with the sufficient statistics
-  //     (FᵀF or its inverse) primed for subsequent online updates.
+  //     (FᵀF or its inverse) primed for subsequent online updates. The
+  //     factors come straight from θ — no cache fill, no storage read —
+  //     and each node replays its share of the log as one batch task.
   if (options_.replay_observations && observations != nullptr &&
       output.features->is_materialized()) {
-    auto current = registry_->Current();
-    if (current.ok()) {
-      for (const Observation& obs : *observations) {
-        NodeComponents* node = &nodes_[0];
-        if (nodes_.size() > 1) {
-          VELOX_ASSIGN_OR_RETURN(NodeId owner, storage_->OwnerOf(obs.uid));
-          node = &nodes_[static_cast<size_t>(owner)];
+    StageTimer timer(install_stages);
+    StageTimer::Scope replay_span(timer, Stage::kInstallReplay);
+    std::vector<std::vector<ReplayOp>> per_node(nodes_.size());
+    for (auto& ops : per_node) ops.reserve(observations->size() / nodes_.size() + 1);
+    std::unordered_map<uint64_t, size_t> owner_of;
+    // Each distinct item's factor, read once; empty when θ lacks it.
+    std::unordered_map<uint64_t, std::optional<DenseVector>> factor_of;
+    for (const Observation& obs : *observations) {
+      size_t node = 0;
+      if (nodes_.size() > 1) {
+        auto [owner, first] = owner_of.try_emplace(obs.uid, 0);
+        if (first) {
+          VELOX_ASSIGN_OR_RETURN(NodeId id, storage_->OwnerOf(obs.uid));
+          owner->second = static_cast<size_t>(id);
         }
+        node = owner->second;
+      }
+      auto [factor, first] = factor_of.try_emplace(obs.item_id);
+      if (first) {
         Item item;
         item.id = obs.item_id;
-        auto features =
-            node->prediction_service->ResolveFeatures(*current.value(), item);
-        if (!features.ok()) {
-          ++report.replay_skipped;  // item absent from the new θ
-          continue;
-        }
-        auto applied =
-            node->weights->ApplyObservation(obs.uid, *features.value(), obs.label);
-        // A single bad observation (corrupt entry, stale-dimension
-        // factor) must not abort the install: at this point the caches
-        // are cleared and weights reseeded, so failing here would strand
-        // the node half-installed. Skip it and surface the count.
-        if (!applied.ok()) ++report.replay_skipped;
+        auto features = output.features->Features(item);
+        if (features.ok()) factor->second = std::move(features).value();
       }
+      if (!factor->second.has_value()) {
+        ++report.replay_skipped;  // item absent from the new θ
+        continue;
+      }
+      per_node[node].push_back({obs.uid, &*factor->second, obs.label});
     }
+    ReplayJob job(&nodes_, std::move(per_node));
+    VELOX_RETURN_NOT_OK(driver_->Submit(&job));
+    report.replay_skipped += job.skipped();
   }
 
   // 6. Repopulate caches from the warm set against the new version

@@ -165,8 +165,9 @@ class RetrainScheduler {
   uint64_t retrains_completed() const;
   RetrainSchedulerStats stats() const;
 
-  // Stage-latency sink for drift_check / incremental_solve spans
-  // (borrowed; may be null => untimed). Wire during construction.
+  // Stage-latency sink for drift_check / incremental_solve /
+  // install_replay spans (borrowed; may be null => untimed; the first
+  // install is never timed). Wire during construction.
   void SetStageRegistry(StageRegistry* stages) { stages_ = stages; }
 
  private:

@@ -184,7 +184,9 @@ Status UserWeightStore::SeedUserInternal(uint64_t uid, const DenseVector& weight
   }
   Stripe& stripe = StripeFor(uid);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  UserWeightWalRecord record = SeedRecord(uid, model_version, weights);
+  journal = journal && journal_ != nullptr;
+  UserWeightWalRecord record;
+  if (journal) record = SeedRecord(uid, model_version, weights);
   auto it = stripe.users.find(uid);
   if (it != stripe.users.end()) {
     DenseVector old_weights = std::move(it->second.weights);
@@ -241,7 +243,10 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
   UpdateResult result;
   result.prediction_before = Dot(state.weights, features);
 
-  DenseVector old_weights = state.weights;
+  // The pre-update weights, for the bootstrapper's running sum; the
+  // solve overwrites state.weights. Per-thread, so no allocation.
+  thread_local DenseVector old_weights;
+  old_weights = state.weights;
   Status solved;
   if (options_.strategy == UpdateStrategy::kNaiveNormalEquations) {
     if (state.acc == nullptr) {
@@ -260,16 +265,20 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
       state.sm->SetPriorMean(state.prior);
     }
     state.sm->AddExample(features, label);
-    state.weights = state.sm->Weights();
+    state.sm->WeightsInto(state.weights.data());
   }
   // A failed naive solve still journals: its example is already in the
-  // accumulator, and replay must add it too.
+  // accumulator, and replay must add it too. Without a journal there is
+  // no record to build.
+  journal = journal && journal_ != nullptr;
   UserWeightWalRecord record;
-  record.kind = UserWeightWalRecord::Kind::kObservationUpdate;
-  record.uid = uid;
-  record.model_version = state.model_version;
-  record.features = features;
-  record.label = label;
+  if (journal) {
+    record.kind = UserWeightWalRecord::Kind::kObservationUpdate;
+    record.uid = uid;
+    record.model_version = state.model_version;
+    record.features = features;
+    record.label = label;
+  }
   LogInOrder(record, journal, [&](Bootstrapper& boot) {
     if (solved.ok()) boot.OnUserUpdated(old_weights, state.weights);
   });
@@ -589,6 +598,8 @@ Status UserWeightStore::MaybeSnapshot() {
     // in-memory image reflects. Observers that crossed the cadence
     // together all queue here; the first one rearms the cadence at its
     // cut, so the others find nothing due and leave.
+    StageTimer timer(stages_);
+    StageTimer::Scope hold_span(timer, Stage::kSnapshotCut);
     std::vector<std::unique_lock<std::mutex>> locks = LockAllStripes();
     if (!journal_->SnapshotDue()) return Status::OK();
     cut = journal_->records();

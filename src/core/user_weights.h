@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/stage_trace.h"
 #include "core/bootstrap.h"
 #include "linalg/ridge.h"
 #include "linalg/sherman_morrison.h"
@@ -82,6 +83,11 @@ class UserWeightStore {
   // construction, before any mutation.
   void AttachJournal(UserWeightJournal* journal) { journal_ = journal; }
   UserWeightJournal* journal() const { return journal_; }
+
+  // Stage-latency sink for MaybeSnapshot's all-stripe hold
+  // (`snapshot_cut`; borrowed, may be null => untimed). Wire during
+  // server construction.
+  void SetStageRegistry(StageRegistry* stages) { stages_ = stages; }
 
   // Result of absorbing one observation.
   struct UpdateResult {
@@ -225,6 +231,7 @@ class UserWeightStore {
   Bootstrapper* bootstrapper_;
   RecoveryFn recovery_;
   UserWeightJournal* journal_ = nullptr;
+  StageRegistry* stages_ = nullptr;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   // Orders every mutation's journal append with its change to the
   // bootstrapper's running sum. Mutations on different stripes run

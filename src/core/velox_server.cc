@@ -100,6 +100,7 @@ VeloxServer::VeloxServer(VeloxServerConfig config, std::unique_ptr<VeloxModel> m
     node->stages = std::make_unique<StageRegistry>();
     node->prediction_service->SetStageRegistry(node->stages.get());
     node->updater->SetStageRegistry(node->stages.get());
+    node->weights->SetStageRegistry(node->stages.get());
 
     // Nearline drift tracking: every successful observe records its
     // squared prequential error here; the scheduler's drift check
@@ -144,8 +145,9 @@ VeloxServer::VeloxServer(VeloxServerConfig config, std::unique_ptr<VeloxModel> m
   scheduler_ = std::make_unique<RetrainScheduler>(
       ropts, model_.get(), registry_.get(), evaluator_.get(), driver_.get(),
       storage_.get(), std::move(scheduler_nodes));
-  // Retrain control-plane spans (drift_check/incremental_solve) land in
-  // node 0's registry — the driver node, where batch jobs are charged.
+  // Retrain control-plane spans (drift_check/incremental_solve/
+  // install_replay) land in node 0's registry — the driver node, where
+  // batch jobs are charged.
   scheduler_->SetStageRegistry(per_node_[0]->stages.get());
 
   if (!config_.durability.dir.empty() && config_.durability.recover_on_start) {

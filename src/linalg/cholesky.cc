@@ -4,27 +4,52 @@
 
 namespace velox {
 
+bool CholeskyFactorInPlace(double* a, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    double* li = a + i * n;
+    for (size_t j = 0; j <= i; ++j) {
+      // li[j] still holds a(i, j): row i is overwritten left to right.
+      double sum = li[j];
+      const double* lj = a + j * n;
+      for (size_t k = 0; k < j; ++k) sum -= li[k] * lj[k];
+      if (i == j) {
+        if (sum <= 0.0 || !std::isfinite(sum)) return false;
+        li[j] = std::sqrt(sum);
+      } else {
+        li[j] = sum / lj[j];
+      }
+    }
+  }
+  return true;
+}
+
+void CholeskySolveInPlace(const double* l, size_t n, double* b) {
+  // Forward substitution: L y = b.
+  for (size_t i = 0; i < n; ++i) {
+    double sum = b[i];
+    const double* li = l + i * n;
+    for (size_t k = 0; k < i; ++k) sum -= li[k] * b[k];
+    b[i] = sum / li[i];
+  }
+  // Backward substitution: L^T x = y.
+  for (size_t ii = n; ii-- > 0;) {
+    double sum = b[ii];
+    for (size_t k = ii + 1; k < n; ++k) sum -= l[k * n + ii] * b[k];
+    b[ii] = sum / l[ii * n + ii];
+  }
+}
+
 Result<DenseMatrix> CholeskyFactor(const DenseMatrix& a) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("Cholesky requires a square matrix");
   }
   const size_t n = a.rows();
-  DenseMatrix l(n, n);
+  DenseMatrix l = a;
+  if (!CholeskyFactorInPlace(l.RowPtr(0), n)) {
+    return Status::InvalidArgument("matrix is not positive definite");
+  }
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double sum = a.At(i, j);
-      const double* li = l.RowPtr(i);
-      const double* lj = l.RowPtr(j);
-      for (size_t k = 0; k < j; ++k) sum -= li[k] * lj[k];
-      if (i == j) {
-        if (sum <= 0.0 || !std::isfinite(sum)) {
-          return Status::InvalidArgument("matrix is not positive definite");
-        }
-        l.At(i, j) = std::sqrt(sum);
-      } else {
-        l.At(i, j) = sum / l.At(j, j);
-      }
-    }
+    for (size_t j = i + 1; j < n; ++j) l.At(i, j) = 0.0;
   }
   return l;
 }
@@ -34,21 +59,8 @@ Result<DenseVector> CholeskySolveWithFactor(const DenseMatrix& l, const DenseVec
   if (l.cols() != n || b.dim() != n) {
     return Status::InvalidArgument("factor/vector dimension mismatch");
   }
-  // Forward substitution: L y = b.
-  DenseVector y(n);
-  for (size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    const double* li = l.RowPtr(i);
-    for (size_t k = 0; k < i; ++k) sum -= li[k] * y[k];
-    y[i] = sum / li[i];
-  }
-  // Backward substitution: L^T x = y.
-  DenseVector x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (size_t k = ii + 1; k < n; ++k) sum -= l.At(k, ii) * x[k];
-    x[ii] = sum / l.At(ii, ii);
-  }
+  DenseVector x = b;
+  CholeskySolveInPlace(l.RowPtr(0), n, x.data());
   return x;
 }
 

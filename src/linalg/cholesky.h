@@ -4,6 +4,8 @@
 #ifndef VELOX_LINALG_CHOLESKY_H_
 #define VELOX_LINALG_CHOLESKY_H_
 
+#include <cstddef>
+
 #include "common/result.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
@@ -23,6 +25,16 @@ Result<DenseVector> CholeskySolveWithFactor(const DenseMatrix& l, const DenseVec
 
 // Inverse of SPD A via Cholesky (used to seed Sherman-Morrison state).
 Result<DenseMatrix> SpdInverse(const DenseMatrix& a);
+
+// The kernels behind the functions above, on raw row-major n×n
+// storage. CholeskyFactorInPlace reads only the lower triangle (j ≤ i)
+// of `a` and overwrites it with L; the strict upper triangle is neither
+// read nor written. Returns false if `a` is not (numerically) positive
+// definite, leaving it partly overwritten. CholeskySolveInPlace
+// overwrites `b` with the solution of L Lᵀ x = b, reading only L's
+// lower triangle.
+bool CholeskyFactorInPlace(double* a, size_t n);
+void CholeskySolveInPlace(const double* l, size_t n, double* b);
 
 }  // namespace velox
 

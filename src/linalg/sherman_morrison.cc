@@ -57,7 +57,22 @@ void ShermanMorrisonSolver::AddExample(const DenseVector& features, double label
   ++num_examples_;
 }
 
-DenseVector ShermanMorrisonSolver::Weights() const { return a_inv_.Gemv(b_); }
+DenseVector ShermanMorrisonSolver::Weights() const {
+  DenseVector w(dim());
+  WeightsInto(w.data());
+  return w;
+}
+
+void ShermanMorrisonSolver::WeightsInto(double* out) const {
+  // DenseMatrix::Gemv's loop, so both entry points agree bit for bit.
+  const size_t d = dim();
+  for (size_t r = 0; r < d; ++r) {
+    const double* row = a_inv_.RowPtr(r);
+    double s = 0.0;
+    for (size_t c = 0; c < d; ++c) s += row[c] * b_[c];
+    out[r] = s;
+  }
+}
 
 double ShermanMorrisonSolver::Uncertainty(const DenseVector& features) const {
   const size_t d = dim();

@@ -45,6 +45,8 @@ class ShermanMorrisonSolver {
 
   // Current ridge weights w = A^{-1} b; O(d^2).
   DenseVector Weights() const;
+  // Weights() written into `out` (dim() entries) without allocating.
+  void WeightsInto(double* out) const;
 
   // Predictive uncertainty sqrt(f^T A^{-1} f) — the LinUCB bonus.
   double Uncertainty(const DenseVector& features) const;

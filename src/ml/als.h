@@ -7,11 +7,13 @@
 // Solves  argmin_{W,X}  λ(||W||² + ||X||²) + Σ_{(u,i)∈Obs} (r_ui − w_uᵀx_i)²
 // by alternating ridge solves: fix X, solve every w_u; fix W, solve
 // every x_i. Each half-iteration is one batch stage (users/items are
-// independent given the other side).
+// independent given the other side) over dense, rank-strided factor
+// arrays and a CSR view of the ratings built once per Train.
 #ifndef VELOX_ML_ALS_H_
 #define VELOX_ML_ALS_H_
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -47,7 +49,10 @@ struct AlsConfig {
   uint64_t seed = 42;
   // Stddev of the Gaussian factor initialization.
   double init_stddev = 0.1;
-  // Partitions for the group-by stages.
+  // Sets the order in which each entity's ratings are accumulated —
+  // that of a round-robin split into this many partitions regrouped by
+  // key: source partition (rating index % num_partitions), then index —
+  // and the number of tasks in each half-step stage.
   size_t num_partitions = 8;
   // ALS-WR (Zhou et al. 2008): scale each entity's regularizer by its
   // rating count (λ · n_u), so heavily-rated entities are not
@@ -64,9 +69,13 @@ class AlsTrainer {
   Result<MfModel> Train(BatchExecutor* executor,
                         const std::vector<Observation>& ratings) const;
 
-  // Warm-start: begins from `init` (the paper's retrain path "depends
-  // on the current user weights", §4.2); entities absent from `init`
-  // get fresh random factors.
+  // Warm-start: begins from `init`'s item factors (the paper's retrain
+  // path "depends on the current user weights", §4.2); items absent
+  // from `init` get fresh random factors. Users are solved first, so
+  // `init`'s user factors never reach the result, and the result holds
+  // exactly the users and items that `ratings` names, each map filled
+  // in the order `ratings` first names its entities (an install reseeds
+  // users in that order).
   Result<MfModel> TrainWarmStart(BatchExecutor* executor,
                                  const std::vector<Observation>& ratings,
                                  const MfModel& init) const;
@@ -76,6 +85,41 @@ class AlsTrainer {
  private:
   AlsConfig config_;
 };
+
+// Examples grouped by the entity being solved, in CSR form: row r's
+// examples are positions [offsets[r], offsets[r + 1]) of `other` (a row
+// of the fixed side's factor array) and `labels`, in accumulation order.
+struct RatingCsr {
+  std::vector<size_t> offsets{0};
+  std::vector<uint32_t> other;
+  std::vector<double> labels;
+
+  size_t rows() const { return offsets.size() - 1; }
+};
+
+// Groups examples i = 0..n-1 — row row_of[i] against fixed row
+// other_of[i] with label labels[i] — into a CSR of `rows` rows. Each
+// row keeps its examples in the order a round-robin split into
+// `num_partitions` partitions regrouped by row delivers them: source
+// partition (i % num_partitions), then i. 1 keeps example order.
+RatingCsr GroupRatings(size_t rows, const std::vector<uint32_t>& row_of,
+                       const std::vector<uint32_t>& other_of,
+                       const std::vector<double>& labels, size_t num_partitions);
+
+// The ridge half-step that ALS and the nearline item refresh share. For
+// every row r of `csr`, solves (Σ f fᵀ + reg·I) x = Σ y f over the row's
+// examples in CSR order — f is row `other` of the rank-strided `fixed`
+// array, reg is λ, or λ·n under ALS-WR — and writes x to row r of `out`.
+// The arithmetic and its order are a RidgeAccumulator's fed the same
+// examples and solved, so the results are bit-identical to it; only the
+// Gram matrix's lower triangle, which Cholesky reads, is accumulated.
+// Rows split into `num_tasks` contiguous ranges that run as one stage.
+// `solved[r]` is 0 where the system is not positive definite (row r of
+// `out` is then unspecified), 1 elsewhere.
+Status SolveRidgeRows(BatchExecutor* executor, const std::string& stage,
+                      const RatingCsr& csr, const double* fixed, size_t rank,
+                      double lambda, bool weighted_regularization, size_t num_tasks,
+                      double* out, std::vector<uint8_t>* solved);
 
 // Training-set RMSE of `model` on `ratings` (unknown entities predicted
 // as 0).

@@ -128,7 +128,9 @@ TEST(ConsistentHashRouterTest, NodeAdditionStealsOnlyNewShare) {
   for (uint64_t k = 0; k < keys; ++k) {
     NodeId now = router.NodeForKey(k).value();
     // A key either stayed put or moved to the new node.
-    if (now != before[k]) EXPECT_EQ(now, 3) << "key " << k;
+    if (now != before[k]) {
+      EXPECT_EQ(now, 3) << "key " << k;
+    }
   }
 }
 

@@ -206,7 +206,9 @@ TEST(LruCacheTest, MatchesReferenceModelOnRandomOperations) {
         auto got = cache.Get(key);
         auto expected = reference.Get(key);
         ASSERT_EQ(got.has_value(), expected.has_value()) << "step " << step;
-        if (got.has_value()) ASSERT_EQ(*got, *expected) << "step " << step;
+        if (got.has_value()) {
+          ASSERT_EQ(*got, *expected) << "step " << step;
+        }
         break;
       }
       default:
@@ -230,7 +232,9 @@ TEST(LruCacheTest, ConcurrentMixedOperationsStayConsistent) {
             break;
           case 1: {
             auto v = cache.Get(key);
-            if (v.has_value()) EXPECT_EQ(*v, key * 2);
+            if (v.has_value()) {
+              EXPECT_EQ(*v, key * 2);
+            }
             break;
           }
           default:

@@ -10,12 +10,16 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "batch/executor.h"
+#include "linalg/ridge.h"
 #include "ml/feature_function.h"
 
 #include "core/velox_server.h"
@@ -281,6 +285,84 @@ TEST(IncrementalRetrainTest, RefreshImprovesFitOnDriftedItems) {
     total += pred->score;
   }
   EXPECT_GT(total / 60.0, 3.5);
+}
+
+// The frozen-basis refresh runs on ALS's half-step kernel; it must
+// reproduce, bit for bit, a per-item RidgeAccumulator fed the item's
+// observations in log order against the same basis rows.
+TEST(IncrementalRetrainTest, PartialRefreshMatchesPerItemRidgeLoop) {
+  VeloxServer server(SmallServerConfig(), SmallModel());
+  auto data = SmallData();
+  ASSERT_TRUE(server.Bootstrap(data.ratings).ok());
+  auto previous = server.registry()->Current();
+  ASSERT_TRUE(previous.ok());
+  const FactorMap& prior = *(*previous)->trained_user_weights;
+
+  // The log plus observations by users 5000-5003, who have no basis row.
+  std::vector<Observation> log = data.ratings;
+  for (uint64_t k = 0; k < 40; ++k) {
+    log.push_back(Observation{5000 + k % 4, k % 12, 1.0 + 0.1 * static_cast<double>(k),
+                              static_cast<int64_t>(10000 + k)});
+  }
+  // Live weights for every third user (nudged off the prior), the
+  // trained prior for the rest, and one wrong-dimension live weight,
+  // which leaves its user without a row rather than falling back.
+  FactorMap warm;
+  for (const auto& [uid, w] : prior) {
+    if (uid % 3 != 0) continue;
+    DenseVector nudged = w;
+    nudged.Scale(1.1);
+    warm[uid] = nudged;
+  }
+  warm[1] = DenseVector(3);
+  const std::vector<uint64_t> refresh = {0, 1, 2, 3, 5, 8, 11, 13, 21, 34, 55, 79};
+
+  for (bool weighted : {false, true}) {
+    AlsConfig als;
+    als.rank = 4;
+    als.lambda = 0.1;
+    als.num_partitions = 3;
+    als.weighted_regularization = weighted;
+    MatrixFactorizationModel model("songs", als);
+    BatchExecutor executor(2);
+    auto out = IncrementalTrainer(&model).Refresh(&executor, log, warm, **previous,
+                                                  refresh);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+
+    std::map<uint64_t, RidgeAccumulator> per_item;
+    for (const Observation& obs : log) {
+      if (std::find(refresh.begin(), refresh.end(), obs.item_id) == refresh.end()) {
+        continue;
+      }
+      const DenseVector* w = nullptr;
+      if (auto it = warm.find(obs.uid); it != warm.end()) {
+        w = &it->second;
+      } else if (auto it = prior.find(obs.uid); it != prior.end()) {
+        w = &it->second;
+      }
+      if (w == nullptr || w->dim() != 4) continue;
+      per_item.try_emplace(obs.item_id, 4).first->second.AddExample(*w, obs.label);
+    }
+    ASSERT_FALSE(per_item.empty());
+
+    const auto& old_table = VersionTable(**previous);
+    const auto* merged =
+        dynamic_cast<const MaterializedFeatureFunction*>(out->features.get());
+    ASSERT_NE(merged, nullptr);
+    EXPECT_EQ(merged->table().size(), old_table.size());
+    for (const auto& [item, factor] : merged->table()) {
+      auto acc = per_item.find(item);
+      if (acc == per_item.end()) {
+        EXPECT_TRUE(BitEqual(factor, old_table.at(item))) << "item " << item;
+        continue;
+      }
+      double reg = weighted ? 0.1 * static_cast<double>(acc->second.num_examples()) : 0.1;
+      auto expected = acc->second.Solve(reg);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_TRUE(BitEqual(factor, *expected)) << "item " << item;
+    }
+    EXPECT_TRUE(BitEqual(out->user_weights, prior));
+  }
 }
 
 // --- preconditions / kAuto ---

@@ -5,13 +5,23 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "ml/feature_function.h"
+#include "storage/snapshot.h"
+#include "storage/wal.h"
 
 #include "core/velox_server.h"
 #include "data/movielens.h"
@@ -358,6 +368,177 @@ TEST(RetrainSchedulerTest, WarmingKeepsHashCollidingPredictionPairs) {
   auto report = server.RetrainNow();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->warmed_predictions, 2u);
+}
+
+// --- the per-node install replay against a serial reference ---
+
+// A fresh journal directory (fixed file names: stale files from an
+// earlier run would be replayed as real state).
+std::string FreshDir(const std::string& name) {
+  std::string dir = ::testing::TempDir() + "/" + name;
+  ::mkdir(dir.c_str(), 0755);
+  for (int n = 0; n < 4; ++n) {
+    std::remove((dir + "/user_weights_node" + std::to_string(n) + ".wal").c_str());
+    std::remove((dir + "/user_weights_node" + std::to_string(n) + ".snap").c_str());
+  }
+  return dir;
+}
+
+std::string NodeWal(const std::string& dir, int node) {
+  return dir + "/user_weights_node" + std::to_string(node) + ".wal";
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+}
+
+UserWeightStoreOptions NodeStoreOptions(const VeloxServerConfig& config) {
+  UserWeightStoreOptions options;
+  options.dim = config.dim;
+  options.lambda = config.lambda;
+  options.strategy = config.update_strategy;
+  return options;
+}
+
+// Each node's state image and WAL bytes after Bootstrap and after
+// RetrainNow must equal those of a store driven serially through the
+// public API: reseed from the version's W, then every observation the
+// node owns, in log order, against the version's θ.
+TEST(RetrainSchedulerTest, InstallReplayMatchesSerialReferenceBitForBit) {
+  constexpr int kNodes = 3;
+  auto config = SmallServerConfig();
+  config.num_nodes = kNodes;
+  config.durability.dir = FreshDir("install_replay_server");
+  config.durability.wal.sync = WalSyncPolicy::kFlush;
+  const std::string ref_dir = FreshDir("install_replay_reference");
+  VeloxServer server(config, SmallModel());
+
+  struct Reference {
+    std::unique_ptr<UserWeightJournal> journal;
+    std::unique_ptr<Bootstrapper> boot;
+    std::unique_ptr<UserWeightStore> store;
+  };
+  std::vector<Reference> refs(kNodes);
+  for (int n = 0; n < kNodes; ++n) {
+    UserWeightJournalOptions jopts;
+    jopts.wal_path = NodeWal(ref_dir, n);
+    jopts.wal.sync = WalSyncPolicy::kFlush;
+    auto journal = UserWeightJournal::Open(jopts);
+    ASSERT_TRUE(journal.ok());
+    refs[n].journal = std::move(journal).value();
+    refs[n].boot = std::make_unique<Bootstrapper>(config.dim);
+    refs[n].store =
+        std::make_unique<UserWeightStore>(NodeStoreOptions(config), refs[n].boot.get());
+    refs[n].store->AttachJournal(refs[n].journal.get());
+  }
+  auto owner = [&](uint64_t uid) {
+    auto node = server.storage()->OwnerOf(uid);
+    VELOX_CHECK_OK(node.status());
+    return static_cast<size_t>(node.value());
+  };
+  auto replay_reference = [&] {
+    auto version = server.registry()->Current();
+    VELOX_CHECK_OK(version.status());
+    std::vector<FactorMap> per_node(kNodes);
+    for (const auto& [uid, w] : *(*version)->trained_user_weights) {
+      per_node[owner(uid)][uid] = w;
+    }
+    for (int n = 0; n < kNodes; ++n) {
+      refs[n].store->ResetForNewVersion(per_node[n], (*version)->version);
+    }
+    size_t replayed = 0;
+    for (const Observation& obs : server.storage()->AllObservations()) {
+      auto features = (*version)->features->Features(MakeItem(obs.item_id));
+      VELOX_CHECK_OK(features.status());
+      VELOX_CHECK_OK(refs[owner(obs.uid)]
+                         .store->ApplyObservation(obs.uid, *features, obs.label)
+                         .status());
+      ++replayed;
+    }
+    return replayed;
+  };
+  auto expect_same = [&](const std::string& when) {
+    for (int n = 0; n < kNodes; ++n) {
+      EXPECT_EQ(server.user_weights(n)->SerializeState(), refs[n].store->SerializeState())
+          << when << ", node " << n;
+      EXPECT_EQ(ReadFileBytes(NodeWal(config.durability.dir, n)),
+                ReadFileBytes(NodeWal(ref_dir, n)))
+          << when << ", node " << n;
+    }
+  };
+
+  auto data = SmallData();
+  ASSERT_TRUE(server.Bootstrap(data.ratings).ok());
+  EXPECT_EQ(replay_reference(), data.ratings.size());
+  expect_same("after Bootstrap");
+
+  auto report = server.RetrainNow();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->replay_skipped, 0u);
+  replay_reference();
+  expect_same("after RetrainNow");
+  EXPECT_GT(server.StageData(Stage::kInstallReplay).count(), 0u);
+}
+
+// Replays a WAL from genesis into a fresh store.
+std::vector<uint8_t> GenesisReplay(const std::string& wal_path,
+                                   const UserWeightStoreOptions& options) {
+  auto wal = WriteAheadLog::Open(wal_path);
+  VELOX_CHECK_OK(wal.status());
+  Bootstrapper boot(options.dim);
+  UserWeightStore store(options, &boot);
+  for (const auto& payload : (*wal)->TakeRecoveredPayloads()) {
+    auto record = UserWeightWalRecord::Deserialize(payload);
+    VELOX_CHECK_OK(record.status());
+    VELOX_CHECK_OK(store.ApplyWalRecord(*record));
+  }
+  return store.SerializeState();
+}
+
+// The install's replay tasks journal on every node while observers
+// mutate the same stores: each node's journal must still replay from
+// genesis to its live image.
+TEST(RetrainSchedulerTest, RetrainRacingObserversReplaysToTheLiveState) {
+  constexpr int kNodes = 2;
+  auto config = SmallServerConfig();
+  config.num_nodes = kNodes;
+  config.durability.dir = FreshDir("install_replay_race");
+  config.durability.wal.sync = WalSyncPolicy::kFlush;
+  auto server = std::make_unique<VeloxServer>(config, SmallModel());
+  auto data = SmallData();
+  ASSERT_TRUE(server->Bootstrap(data.ratings).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> observed{0};
+  std::vector<std::thread> observers;
+  for (uint64_t t = 0; t < 2; ++t) {
+    observers.emplace_back([&, t] {
+      Rng rng(100 + t);
+      while (!stop.load()) {
+        uint64_t uid = rng.UniformU64(70);  // a few users outside the log
+        uint64_t item = rng.UniformU64(80);
+        VELOX_CHECK_OK(server->Observe(uid, MakeItem(item), rng.UniformDouble(1.0, 5.0)));
+        observed.fetch_add(1);
+      }
+    });
+  }
+  while (observed.load() < 200) std::this_thread::yield();
+  for (int r = 0; r < 3; ++r) ASSERT_TRUE(server->RetrainNow().ok());
+  const uint64_t during = observed.load();
+  while (observed.load() < during + 200) std::this_thread::yield();
+  stop = true;
+  for (auto& observer : observers) observer.join();
+
+  std::vector<std::vector<uint8_t>> live;
+  for (int n = 0; n < kNodes; ++n) live.push_back(server->user_weights(n)->SerializeState());
+  server.reset();  // closes every journal
+  for (int n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(GenesisReplay(NodeWal(config.durability.dir, n), NodeStoreOptions(config)),
+              live[static_cast<size_t>(n)])
+        << "node " << n;
+  }
 }
 
 TEST(RetrainSchedulerTest, RetrainCountTracked) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "batch/dataset.h"
 #include "batch/executor.h"
 #include "common/random.h"
+#include "linalg/ridge.h"
 
 namespace velox {
 namespace {
@@ -192,6 +195,221 @@ TEST_F(AlsTest, WeightedRegularizationImprovesGeneralization) {
   ASSERT_TRUE(m_wr.ok());
   EXPECT_LT(MfTrainRmse(m_wr.value(), test), MfTrainRmse(m_plain.value(), test));
 }
+
+// --- bit-identity pins against the grouped, map-based trainer ---
+
+// Textbook Cholesky solve with a separate factor matrix, independent of
+// the in-place kernel the trainer uses.
+Result<DenseVector> ReferenceCholeskySolve(const DenseMatrix& a, const DenseVector& b) {
+  const size_t n = a.rows();
+  DenseMatrix l(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      double sum = a.At(i, j);
+      for (size_t k = 0; k < j; ++k) sum -= l.At(i, k) * l.At(j, k);
+      if (i == j) {
+        if (sum <= 0.0 || !std::isfinite(sum)) {
+          return Status::InvalidArgument("not positive definite");
+        }
+        l.At(i, j) = std::sqrt(sum);
+      } else {
+        l.At(i, j) = sum / l.At(j, j);
+      }
+    }
+  }
+  DenseVector y(n);
+  for (size_t i = 0; i < n; ++i) {
+    double sum = b[i];
+    for (size_t k = 0; k < i; ++k) sum -= l.At(i, k) * y[k];
+    y[i] = sum / l.At(i, i);
+  }
+  DenseVector x(n);
+  for (size_t ii = n; ii-- > 0;) {
+    double sum = y[ii];
+    for (size_t k = ii + 1; k < n; ++k) sum -= l.At(k, ii) * x[k];
+    x[ii] = sum / l.At(ii, ii);
+  }
+  return x;
+}
+
+// The trainer as first built on the batch substrate: Parallelize +
+// GroupBy, then one RidgeAccumulator per entity over its group, solved
+// by Cholesky, with hash-map factors on both sides.
+MfModel ReferenceTrain(BatchExecutor* executor, const AlsConfig& config,
+                       const std::vector<Observation>& ratings, const MfModel& init) {
+  MfModel model;
+  model.rank = config.rank;
+  model.lambda = config.lambda;
+  model.user_factors = init.user_factors;
+  model.item_factors = init.item_factors;
+  auto data = Dataset<Observation>::Parallelize(executor, ratings, config.num_partitions);
+  auto by_user = data.GroupBy<uint64_t>([](const Observation& o) { return o.uid; });
+  auto by_item = data.GroupBy<uint64_t>([](const Observation& o) { return o.item_id; });
+  for (size_t p = 0; p < by_item.num_partitions(); ++p) {
+    for (const auto& [item_id, group] : by_item.partition(p)) {
+      if (model.item_factors.count(item_id) == 0) {
+        model.item_factors[item_id] =
+            InitFactor(config.rank, config.init_stddev, config.seed, item_id);
+      }
+    }
+  }
+  auto solve_side = [&](const Dataset<std::pair<uint64_t, std::vector<Observation>>>& groups,
+                        const FactorMap& fixed, bool other_is_item) {
+    FactorMap out;
+    for (size_t p = 0; p < groups.num_partitions(); ++p) {
+      for (const auto& [entity_id, group] : groups.partition(p)) {
+        RidgeAccumulator acc(config.rank);
+        for (const Observation& obs : group) {
+          uint64_t other = other_is_item ? obs.item_id : obs.uid;
+          auto it = fixed.find(other);
+          acc.AddExample(it != fixed.end() ? it->second
+                                           : InitFactor(config.rank, config.init_stddev,
+                                                        config.seed, other),
+                         obs.label);
+        }
+        double reg = config.weighted_regularization
+                         ? config.lambda * static_cast<double>(acc.num_examples())
+                         : config.lambda;
+        DenseMatrix a = acc.ftf();
+        a.AddDiagonal(reg);
+        auto solved = ReferenceCholeskySolve(a, acc.fty());
+        out[entity_id] = solved.ok() ? std::move(solved).value()
+                                     : InitFactor(config.rank, config.init_stddev,
+                                                  config.seed, entity_id);
+      }
+    }
+    return out;
+  };
+  for (int iter = 0; iter < config.iterations; ++iter) {
+    model.user_factors = solve_side(by_user, model.item_factors, /*other_is_item=*/true);
+    model.item_factors = solve_side(by_item, model.user_factors, /*other_is_item=*/false);
+  }
+  return model;
+}
+
+bool BitEqual(const FactorMap& a, const FactorMap& b) {
+  if (a.size() != b.size()) return false;
+  for (const auto& [id, v] : a) {
+    auto it = b.find(id);
+    if (it == b.end() || v.dim() != it->second.dim() ||
+        std::memcmp(v.data(), it->second.data(), v.dim() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Sparse ratings in shuffled order, with repeated (user, item) pairs,
+// and one user and one item that appear exactly once.
+std::vector<Observation> SparseRatings(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Observation> ratings;
+  for (int n = 0; n < 900; ++n) {
+    Observation obs;
+    obs.uid = rng.UniformU64(70);
+    obs.item_id = rng.UniformU64(90);
+    obs.label = rng.UniformDouble(1.0, 5.0);
+    obs.timestamp = n;
+    ratings.push_back(obs);
+  }
+  ratings.push_back(ratings[17]);  // a repeated rating
+  Observation lone_user{1000, 3, 4.5, 900};
+  Observation lone_item{5, 2000, 1.5, 901};
+  ratings.insert(ratings.begin() + 311, lone_user);
+  ratings.insert(ratings.begin() + 512, lone_item);
+  return ratings;
+}
+
+class AlsPinTest : public ::testing::TestWithParam<std::tuple<size_t, bool>> {
+ protected:
+  AlsConfig Config() const {
+    AlsConfig config;
+    config.rank = 5;
+    config.lambda = 0.08;
+    config.iterations = 4;
+    config.seed = 99;
+    config.num_partitions = std::get<0>(GetParam());
+    config.weighted_regularization = std::get<1>(GetParam());
+    return config;
+  }
+  BatchExecutor executor_{2};
+};
+
+TEST_P(AlsPinTest, ColdStartMatchesGroupedTrainerBitForBit) {
+  auto ratings = SparseRatings(7);
+  AlsConfig config = Config();
+  MfModel empty;
+  empty.rank = config.rank;
+  auto model = AlsTrainer(config).Train(&executor_, ratings);
+  ASSERT_TRUE(model.ok());
+  MfModel reference = ReferenceTrain(&executor_, config, ratings, empty);
+  EXPECT_EQ(model->user_factors.count(1000), 1u);
+  EXPECT_EQ(model->item_factors.count(2000), 1u);
+  EXPECT_TRUE(BitEqual(model->user_factors, reference.user_factors));
+  EXPECT_TRUE(BitEqual(model->item_factors, reference.item_factors));
+  EXPECT_EQ(MfTrainRmse(*model, ratings), MfTrainRmse(reference, ratings));
+}
+
+TEST_P(AlsPinTest, WarmStartFromItemFactorsMatchesBitForBit) {
+  auto ratings = SparseRatings(8);
+  AlsConfig config = Config();
+  // Warm items for part of the catalog plus items the ratings never
+  // name; the rest start from seeded factors.
+  MfModel init;
+  init.rank = config.rank;
+  for (uint64_t i = 0; i < 120; i += 2) {
+    init.item_factors[i] = InitFactor(config.rank, 0.3, 5, i);
+  }
+  auto model = AlsTrainer(config).TrainWarmStart(&executor_, ratings, init);
+  ASSERT_TRUE(model.ok());
+  MfModel reference = ReferenceTrain(&executor_, config, ratings, init);
+  EXPECT_TRUE(BitEqual(model->user_factors, reference.user_factors));
+  EXPECT_TRUE(BitEqual(model->item_factors, reference.item_factors));
+}
+
+TEST_P(AlsPinTest, WarmUserFactorsAloneEqualColdStart) {
+  auto ratings = SparseRatings(9);
+  AlsConfig config = Config();
+  // Users are solved first, so warm user factors never reach the
+  // result — including those of users with no ratings at all.
+  MfModel init;
+  init.rank = config.rank;
+  for (uint64_t u = 0; u < 200; ++u) {
+    init.user_factors[u] = InitFactor(config.rank, 0.4, 6, u);
+  }
+  auto warm = AlsTrainer(config).TrainWarmStart(&executor_, ratings, init);
+  auto cold = AlsTrainer(config).Train(&executor_, ratings);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(cold.ok());
+  MfModel reference = ReferenceTrain(&executor_, config, ratings, init);
+  EXPECT_TRUE(BitEqual(warm->user_factors, cold->user_factors));
+  EXPECT_TRUE(BitEqual(warm->item_factors, cold->item_factors));
+  EXPECT_TRUE(BitEqual(warm->user_factors, reference.user_factors));
+  EXPECT_TRUE(BitEqual(warm->item_factors, reference.item_factors));
+}
+
+TEST_P(AlsPinTest, SingleRatingEntitiesMatchBitForBit) {
+  // Every entity has exactly one rating: each solve is a rank-one Gram
+  // matrix plus the regularizer.
+  std::vector<Observation> ratings;
+  for (uint64_t k = 0; k < 40; ++k) {
+    ratings.push_back(Observation{k, 100 + k, 1.0 + 0.1 * static_cast<double>(k),
+                                  static_cast<int64_t>(k)});
+  }
+  AlsConfig config = Config();
+  MfModel empty;
+  empty.rank = config.rank;
+  auto model = AlsTrainer(config).Train(&executor_, ratings);
+  ASSERT_TRUE(model.ok());
+  MfModel reference = ReferenceTrain(&executor_, config, ratings, empty);
+  EXPECT_TRUE(BitEqual(model->user_factors, reference.user_factors));
+  EXPECT_TRUE(BitEqual(model->item_factors, reference.item_factors));
+}
+
+INSTANTIATE_TEST_SUITE_P(PartitionsAndRegularization, AlsPinTest,
+                         ::testing::Combine(::testing::Values(size_t{1}, size_t{3},
+                                                              size_t{8}),
+                                            ::testing::Bool()));
 
 TEST(MfModelTest, PredictOrFallsBackForUnknowns) {
   MfModel model;
