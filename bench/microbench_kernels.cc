@@ -2,8 +2,8 @@
 // Eq. 1 dot product, feature-function evaluation, Eq. 2 solves (naive
 // Cholesky vs Sherman–Morrison), cache operations, the storage codec,
 // one candidate topK through VeloxServer, the durability path's
-// snapshot cut and journal append, and offline ALS training and a full
-// retrain + install. These are the primitives whose
+// snapshot cut and journal append, and offline ALS training (uniform and
+// Zipf-skewed) and a full retrain + install. These are the primitives whose
 // costs compose into Figures 3 and 4; keeping them visible guards
 // against performance regressions.
 #include <benchmark/benchmark.h>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "batch/executor.h"
+#include "bench/bench_util.h"
 #include "common/lru.h"
 #include "common/random.h"
 #include "core/feature_cache.h"
@@ -102,6 +103,41 @@ void BM_CholeskySolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CholeskySolve)->Arg(10)->Arg(50)->Arg(100)->Arg(200);
+
+// Four ridge systems of BM_CholeskySolve's shape factored and solved
+// at once by the lane kernel ALS's half-steps use, including the copy
+// into lane-interleaved storage; items = systems, so items/s compares
+// with four BM_CholeskySolve iterations.
+void BM_CholeskySolveLanes4(benchmark::State& state) {
+  size_t d = static_cast<size_t>(state.range(0));
+  std::vector<DenseMatrix> grams;
+  std::vector<DenseVector> rhs;
+  Rng rng(3);
+  for (int k = 0; k < 4; ++k) {
+    RidgeAccumulator acc(d);
+    for (size_t i = 0; i < 2 * d; ++i) {
+      acc.AddExample(RandomVector(d, rng.NextU64()), rng.Gaussian());
+    }
+    DenseMatrix a = acc.ftf();
+    a.AddDiagonal(0.1);
+    grams.push_back(std::move(a));
+    rhs.push_back(acc.fty());
+  }
+  std::vector<double> a(d * d * 4);
+  std::vector<double> b(d * 4);
+  for (auto _ : state) {
+    for (size_t k = 0; k < 4; ++k) {
+      for (size_t i = 0; i < d; ++i) {
+        for (size_t j = 0; j <= i; ++j) a[(i * d + j) * 4 + k] = grams[k].At(i, j);
+        b[i * 4 + k] = rhs[k][i];
+      }
+    }
+    benchmark::DoNotOptimize(CholeskySolveLanes4(a.data(), d, b.data()));
+    benchmark::DoNotOptimize(b.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(BM_CholeskySolveLanes4)->Arg(10);
 
 void BM_ShermanMorrisonUpdate(benchmark::State& state) {
   size_t d = static_cast<size_t>(state.range(0));
@@ -401,6 +437,35 @@ void BM_AlsTrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AlsTrain)->Unit(benchmark::kMillisecond);
+
+// The same Train at retrain_swap's shape: 20,000 users rating 20–40
+// items each out of 5,000 with Zipf(1.0) popularity (~600k ratings),
+// where a few items hold most of the ratings — the skew that uniform
+// ids hide from row-count task splits. 2,000 users x 500 items under
+// VELOX_BENCH_SMOKE.
+void BM_AlsTrainZipf(benchmark::State& state) {
+  static const std::vector<Observation> ratings = [] {
+    SyntheticMovieLensConfig config;
+    config.num_users = bench::SmokeMode() ? 2000 : 20000;
+    config.num_items = bench::SmokeMode() ? 500 : 5000;
+    config.latent_rank = kTrainRank;
+    config.min_ratings_per_user = 20;
+    config.max_ratings_per_user = 40;
+    config.seed = 67;
+    auto data = GenerateSyntheticMovieLens(config);
+    VELOX_CHECK_OK(data.status());
+    return std::move(data).value().ratings;
+  }();
+  BatchExecutor executor(2);
+  AlsTrainer trainer(TrainConfig());
+  for (auto _ : state) {
+    auto model = trainer.Train(&executor, ratings);
+    VELOX_CHECK_OK(model.status());
+    benchmark::DoNotOptimize(model->item_factors.size());
+  }
+  state.counters["ratings"] = static_cast<double>(ratings.size());
+}
+BENCHMARK(BM_AlsTrainZipf)->Unit(benchmark::kMillisecond);
 
 // One full retrain on a bootstrapped 2-node server holding the same
 // ratings: ALS, version install (plane, W publish, reseed) and the

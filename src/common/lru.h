@@ -69,6 +69,16 @@ class LruCache {
     return it->second->second;
   }
 
+  // The cached value or nullopt, without promoting it or counting a hit
+  // or a miss.
+  std::optional<V> Peek(const K& key) const {
+    const Shard& shard = ShardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.index.find(key);
+    if (it == shard.index.end()) return std::nullopt;
+    return it->second->second;
+  }
+
   // Inserts or overwrites; evicts the shard's LRU entry when full.
   void Put(const K& key, V value) {
     Shard& shard = ShardFor(key);
@@ -163,7 +173,7 @@ class LruCache {
     std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator, Hash> index;
   };
 
-  Shard& ShardFor(const K& key) {
+  Shard& ShardFor(const K& key) const {
     size_t h = Hash{}(key);
     // Mix so that low-entropy hashes (e.g., identity for ints) spread.
     h ^= h >> 33;

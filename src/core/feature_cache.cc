@@ -10,6 +10,11 @@ FeaturePtr FeatureCache::Get(uint64_t item_id) {
   return hit.has_value() ? std::move(*hit) : nullptr;
 }
 
+FeaturePtr FeatureCache::Peek(uint64_t item_id) const {
+  auto hit = cache_.Peek(item_id);
+  return hit.has_value() ? std::move(*hit) : nullptr;
+}
+
 void FeatureCache::Put(uint64_t item_id, DenseVector features) {
   cache_.Put(item_id, std::make_shared<const DenseVector>(std::move(features)));
 }

@@ -30,6 +30,8 @@ class FeatureCache {
 
   // nullptr on miss.
   FeaturePtr Get(uint64_t item_id);
+  // Get without promoting the entry or counting a hit or a miss.
+  FeaturePtr Peek(uint64_t item_id) const;
   void Put(uint64_t item_id, DenseVector features);
   void Put(uint64_t item_id, FeaturePtr features);
   bool Invalidate(uint64_t item_id);

@@ -53,18 +53,18 @@ Result<RetrainOutput> MatrixFactorizationModel::Retrain(
   MfModel warm;
   warm.rank = als_config_.rank;
   warm.lambda = als_config_.lambda;
-  warm.user_factors = current_user_weights;
   MfModel trained;
+  RetrainOutput out;
   if (trainer_ == TrainerKind::kAls) {
     AlsTrainer trainer(als_config_);
-    VELOX_ASSIGN_OR_RETURN(trained,
-                           trainer.TrainWarmStart(executor, observations, warm));
+    VELOX_ASSIGN_OR_RETURN(trained, trainer.TrainWarmStart(executor, observations, warm,
+                                                           &out.training_rmse));
   } else {
+    warm.user_factors = current_user_weights;
     SgdTrainer trainer(sgd_config_);
     VELOX_ASSIGN_OR_RETURN(trained, trainer.TrainWarmStart(observations, warm));
+    out.training_rmse = MfTrainRmse(trained, observations);
   }
-  RetrainOutput out;
-  out.training_rmse = MfTrainRmse(trained, observations);
   auto table = std::make_shared<FactorMap>(std::move(trained.item_factors));
   out.features = std::make_shared<MaterializedFeatureFunction>(
       std::shared_ptr<const FactorMap>(table), als_config_.rank);

@@ -54,6 +54,10 @@ class VeloxModel {
                                         const std::vector<Observation>& observations,
                                         const FactorMap& current_user_weights) const = 0;
 
+  // Whether Retrain reads `current_user_weights`. When false, a full
+  // retrain passes an empty map instead of exporting every live user.
+  virtual bool ReadsWarmUserWeights() const { return true; }
+
   // Pointwise quality loss (Listing 2's `loss`). Default: squared error.
   virtual double Loss(double label, double predicted, const Item& x,
                       uint64_t uid) const;
@@ -76,6 +80,9 @@ class MatrixFactorizationModel final : public VeloxModel {
   Result<RetrainOutput> Retrain(BatchExecutor* executor,
                                 const std::vector<Observation>& observations,
                                 const FactorMap& current_user_weights) const override;
+  // SGD starts from the warm user weights; ALS solves users first from
+  // the item factors, so they never reach its result.
+  bool ReadsWarmUserWeights() const override { return trainer_ == TrainerKind::kSgd; }
 
   // Installs an already-trained item-factor table as the current θ
   // (used when bootstrapping a server from an offline model).
@@ -113,6 +120,8 @@ class ComputationalModel final : public VeloxModel {
   Result<RetrainOutput> Retrain(BatchExecutor* executor,
                                 const std::vector<Observation>& observations,
                                 const FactorMap& current_user_weights) const override;
+  // Every user is re-solved from the log against the fixed basis.
+  bool ReadsWarmUserWeights() const override { return false; }
 
  private:
   std::string name_;

@@ -384,10 +384,42 @@ std::vector<Result<FeaturePtr>> PredictionService::ResolveMisses(
     }
   }
 
+  // Completes claim i's flight with `result`, wakes its waiters, and
+  // retires it: waiters hold their own shared_ptr, and a failed fetch
+  // must be retried by the next request, not pinned.
+  auto finish = [&](size_t i, Result<FeaturePtr> result) {
+    Flight& flight = *claims[i].flight;
+    {
+      std::lock_guard<std::mutex> lock(flight.mu);
+      flight.finished = true;
+      if (result.ok()) {
+        flight.value = result.value();
+      } else {
+        flight.status = result.status();
+      }
+    }
+    flight.cv.notify_all();
+    out[i] = std::move(result);
+    std::lock_guard<std::mutex> lock(flights_mu_);
+    auto it = flights_.find(std::make_pair(version.version, misses[i].id));
+    if (it != flights_.end() && it->second == claims[i].flight) flights_.erase(it);
+  };
+
   std::vector<size_t> won;
   std::vector<Item> fetch;
   for (size_t i = 0; i < misses.size(); ++i) {
     if (!claims[i].won) continue;
+    // A claim won after the previous owner retired its flight finds that
+    // owner's value in the cache (the caller's probe ran before the Put):
+    // it shares the value like a flight wait instead of fetching again.
+    // Peek counts no probe; the caller already counted this item's miss.
+    if (options_.use_feature_cache) {
+      if (FeaturePtr cached = feature_cache_->Peek(misses[i].id)) {
+        coalesce_flight_waits_.fetch_add(1, std::memory_order_relaxed);
+        finish(i, Result<FeaturePtr>(std::move(cached)));
+        continue;
+      }
+    }
     won.push_back(i);
     fetch.push_back(misses[i]);
   }
@@ -400,32 +432,13 @@ std::vector<Result<FeaturePtr>> PredictionService::ResolveMisses(
         resolver_.ResolveBatch(version, fetch, &any_remote, &report);
     for (size_t j = 0; j < won.size(); ++j) {
       const size_t i = won[j];
-      Flight& flight = *claims[i].flight;
-      if (fetched[j].ok()) {
-        auto ptr = std::make_shared<const DenseVector>(std::move(fetched[j]).value());
-        if (options_.use_feature_cache) feature_cache_->Put(misses[i].id, ptr);
-        {
-          std::lock_guard<std::mutex> lock(flight.mu);
-          flight.finished = true;
-          flight.value = ptr;
-        }
-        out[i] = Result<FeaturePtr>(std::move(ptr));
-      } else {
-        {
-          std::lock_guard<std::mutex> lock(flight.mu);
-          flight.finished = true;
-          flight.status = fetched[j].status();
-        }
-        out[i] = fetched[j].status();
+      if (!fetched[j].ok()) {
+        finish(i, fetched[j].status());
+        continue;
       }
-      flight.cv.notify_all();
-      // Retire the flight: waiters hold their own shared_ptr, and a
-      // failed fetch must be retried by the next request, not pinned.
-      {
-        std::lock_guard<std::mutex> lock(flights_mu_);
-        auto it = flights_.find(std::make_pair(version.version, misses[i].id));
-        if (it != flights_.end() && it->second == claims[i].flight) flights_.erase(it);
-      }
+      auto ptr = std::make_shared<const DenseVector>(std::move(fetched[j]).value());
+      if (options_.use_feature_cache) feature_cache_->Put(misses[i].id, ptr);
+      finish(i, Result<FeaturePtr>(std::move(ptr)));
     }
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -83,21 +84,22 @@ class IncrementalJob final : public BatchJob {
   RetrainOutput output_;
 };
 
-// One logged observation, resolved for the post-install replay: the new
-// θ's factor for its item, borrowed from the install's factor map.
-struct ReplayOp {
-  uint64_t uid;
-  const DenseVector* features;
-  double label;
+// One node's share of the post-install replay: its logged observations
+// in log order, each resolved to the new θ's factor for its item
+// (borrowed from the install's factor map).
+struct NodeReplay {
+  std::vector<uint64_t> uids;
+  std::vector<UserWeightStore::LoggedExample> examples;
 };
 
 // The post-install replay as a batch job: node n's observations apply
 // to its user state in log order as task n of one stage, so every node
 // sees the updates, in the order, of a serial replay of the whole log.
+// Each run of one user's consecutive observations goes through one
+// ApplyObservationRun.
 class ReplayJob final : public BatchJob {
  public:
-  ReplayJob(const std::vector<NodeComponents>* nodes,
-            std::vector<std::vector<ReplayOp>> per_node)
+  ReplayJob(const std::vector<NodeComponents>* nodes, std::vector<NodeReplay> per_node)
       : nodes_(nodes), per_node_(std::move(per_node)), skipped_(per_node_.size(), 0) {}
 
   std::string name() const override { return "install-replay"; }
@@ -106,17 +108,20 @@ class ReplayJob final : public BatchJob {
     std::vector<std::function<void()>> tasks;
     tasks.reserve(per_node_.size());
     for (size_t n = 0; n < per_node_.size(); ++n) {
-      if (per_node_[n].empty()) continue;
+      if (per_node_[n].uids.empty()) continue;
       tasks.push_back([this, n] {
         UserWeightStore* weights = (*nodes_)[n].weights;
-        for (const ReplayOp& op : per_node_[n]) {
-          // A single bad observation (corrupt entry, stale-dimension
-          // factor) must not abort the install: at this point the
-          // caches are cleared and weights reseeded, so failing here
-          // would strand the node half-installed. Skip it and count it.
-          if (!weights->ApplyObservation(op.uid, *op.features, op.label).ok()) {
-            ++skipped_[n];
-          }
+        const NodeReplay& replay = per_node_[n];
+        const std::span<const UserWeightStore::LoggedExample> examples(replay.examples);
+        for (size_t begin = 0, end = 0; begin < replay.uids.size(); begin = end) {
+          end = begin + 1;
+          while (end < replay.uids.size() && replay.uids[end] == replay.uids[begin]) ++end;
+          // A bad observation (corrupt entry, stale-dimension factor)
+          // must not abort the install: at this point the caches are
+          // cleared and weights reseeded, so failing here would strand
+          // the node half-installed. It is skipped and counted.
+          skipped_[n] += weights->ApplyObservationRun(
+              replay.uids[begin], examples.subspan(begin, end - begin));
         }
       });
     }
@@ -131,7 +136,7 @@ class ReplayJob final : public BatchJob {
 
  private:
   const std::vector<NodeComponents>* nodes_;
-  std::vector<std::vector<ReplayOp>> per_node_;
+  std::vector<NodeReplay> per_node_;
   std::vector<size_t> skipped_;
 };
 
@@ -254,7 +259,8 @@ FactorMap RetrainScheduler::ExportWarmWeights() const {
 Result<RetrainReport> RetrainScheduler::RunFullLocked() {
   Stopwatch watch;
   VELOX_ASSIGN_OR_RETURN(std::vector<Observation> observations, SnapshotLog());
-  FactorMap current_weights = ExportWarmWeights();
+  FactorMap current_weights;
+  if (model_->ReadsWarmUserWeights()) current_weights = ExportWarmWeights();
 
   RetrainJob job(model_, &observations, &current_weights);
   VELOX_RETURN_NOT_OK(driver_->Submit(&job));
@@ -481,21 +487,22 @@ Result<RetrainReport> RetrainScheduler::InstallOutput(
       output.features->is_materialized()) {
     StageTimer timer(install_stages);
     StageTimer::Scope replay_span(timer, Stage::kInstallReplay);
-    std::vector<std::vector<ReplayOp>> per_node(nodes_.size());
-    for (auto& ops : per_node) ops.reserve(observations->size() / nodes_.size() + 1);
-    std::unordered_map<uint64_t, size_t> owner_of;
+    std::vector<NodeReplay> per_node(nodes_.size());
+    for (NodeReplay& replay : per_node) {
+      replay.uids.reserve(observations->size() / nodes_.size() + 1);
+      replay.examples.reserve(observations->size() / nodes_.size() + 1);
+    }
+    std::vector<NodeId> owners;
+    if (nodes_.size() > 1) {
+      std::vector<Key> uids(observations->size());
+      for (size_t i = 0; i < uids.size(); ++i) uids[i] = (*observations)[i].uid;
+      VELOX_ASSIGN_OR_RETURN(owners, storage_->OwnerOfEach(uids));
+    }
     // Each distinct item's factor, read once; empty when θ lacks it.
     std::unordered_map<uint64_t, std::optional<DenseVector>> factor_of;
-    for (const Observation& obs : *observations) {
-      size_t node = 0;
-      if (nodes_.size() > 1) {
-        auto [owner, first] = owner_of.try_emplace(obs.uid, 0);
-        if (first) {
-          VELOX_ASSIGN_OR_RETURN(NodeId id, storage_->OwnerOf(obs.uid));
-          owner->second = static_cast<size_t>(id);
-        }
-        node = owner->second;
-      }
+    for (size_t i = 0; i < observations->size(); ++i) {
+      const Observation& obs = (*observations)[i];
+      const size_t node = owners.empty() ? 0 : static_cast<size_t>(owners[i]);
       auto [factor, first] = factor_of.try_emplace(obs.item_id);
       if (first) {
         Item item;
@@ -507,7 +514,8 @@ Result<RetrainReport> RetrainScheduler::InstallOutput(
         ++report.replay_skipped;  // item absent from the new θ
         continue;
       }
-      per_node[node].push_back({obs.uid, &*factor->second, obs.label});
+      per_node[node].uids.push_back(obs.uid);
+      per_node[node].examples.push_back({&*factor->second, obs.label});
     }
     ReplayJob job(&nodes_, std::move(per_node));
     VELOX_RETURN_NOT_OK(driver_->Submit(&job));

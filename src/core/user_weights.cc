@@ -209,6 +209,52 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservation(
                                   /*allow_recovery=*/true);
 }
 
+DenseVector UserWeightStore::InitialWeights(uint64_t uid, bool allow_recovery) const {
+  // Same cold-start source as the predict path (GetOrBootstrapWeights):
+  // persisted snapshot first, then the bootstrap mean. Seeding from
+  // zero here would give observe-first users a different prior — and a
+  // meaningless prediction_before — than predict-first users.
+  std::optional<DenseVector> recovered;
+  if (allow_recovery) recovered = TryRecover(uid);
+  if (recovered.has_value()) return std::move(*recovered);
+  if (bootstrapper_ != nullptr) return bootstrapper_->MeanWeights();
+  return DenseVector(options_.dim);
+}
+
+Status UserWeightStore::UpdateState(UserState& state, const DenseVector& features,
+                                    double label) const {
+  if (options_.strategy == UpdateStrategy::kNaiveNormalEquations) {
+    if (state.acc == nullptr) {
+      state.acc = std::make_unique<RidgeAccumulator>(options_.dim);
+    }
+    state.acc->AddExample(features, label);
+    Result<DenseVector> weights = state.acc->SolveWithPrior(options_.lambda, state.prior);
+    if (!weights.ok()) return weights.status();
+    state.weights = std::move(weights).value();
+    return Status::OK();
+  }
+  if (state.sm == nullptr) {
+    state.sm = std::make_unique<ShermanMorrisonSolver>(options_.dim, options_.lambda);
+    state.sm->SetPriorMean(state.prior);
+  }
+  state.sm->AddExample(features, label);
+  state.sm->WeightsInto(state.weights.data());
+  return Status::OK();
+}
+
+UserWeightWalRecord UserWeightStore::ObservationRecord(uint64_t uid,
+                                                       const UserState& state,
+                                                       const DenseVector& features,
+                                                       double label) {
+  UserWeightWalRecord record;
+  record.kind = UserWeightWalRecord::Kind::kObservationUpdate;
+  record.uid = uid;
+  record.model_version = state.model_version;
+  record.features = features;
+  record.label = label;
+  return record;
+}
+
 Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
     uint64_t uid, const DenseVector& features, double label, bool journal,
     bool allow_recovery) {
@@ -219,21 +265,10 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.users.find(uid);
   if (it == stripe.users.end()) {
-    // Same cold-start source as the predict path
-    // (GetOrBootstrapWeights): persisted snapshot first, then the
-    // bootstrap mean. Seeding from zero here would give observe-first
-    // users a different prior — and a meaningless prediction_before —
-    // than predict-first users. On replay (allow_recovery false) this
-    // branch only fires for corrupt logs: every creation is preceded by
-    // an explicit kSeed record.
-    DenseVector initial(options_.dim);
-    std::optional<DenseVector> recovered;
-    if (allow_recovery) recovered = TryRecover(uid);
-    if (recovered.has_value()) {
-      initial = *recovered;
-    } else if (bootstrapper_ != nullptr) {
-      initial = bootstrapper_->MeanWeights();
-    }
+    // On replay (allow_recovery false) this branch only fires for
+    // corrupt logs: every creation is preceded by an explicit kSeed
+    // record.
+    DenseVector initial = InitialWeights(uid, allow_recovery);
     it = stripe.users.emplace(uid, MakeState(initial, 0)).first;
     LogInOrder(SeedRecord(uid, 0, initial), journal,
                [&](Bootstrapper& boot) { boot.OnUserAdded(initial); });
@@ -247,38 +282,13 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
   // solve overwrites state.weights. Per-thread, so no allocation.
   thread_local DenseVector old_weights;
   old_weights = state.weights;
-  Status solved;
-  if (options_.strategy == UpdateStrategy::kNaiveNormalEquations) {
-    if (state.acc == nullptr) {
-      state.acc = std::make_unique<RidgeAccumulator>(options_.dim);
-    }
-    state.acc->AddExample(features, label);
-    Result<DenseVector> weights = state.acc->SolveWithPrior(options_.lambda, state.prior);
-    if (weights.ok()) {
-      state.weights = std::move(weights).value();
-    } else {
-      solved = weights.status();
-    }
-  } else {
-    if (state.sm == nullptr) {
-      state.sm = std::make_unique<ShermanMorrisonSolver>(options_.dim, options_.lambda);
-      state.sm->SetPriorMean(state.prior);
-    }
-    state.sm->AddExample(features, label);
-    state.sm->WeightsInto(state.weights.data());
-  }
+  Status solved = UpdateState(state, features, label);
   // A failed naive solve still journals: its example is already in the
   // accumulator, and replay must add it too. Without a journal there is
   // no record to build.
   journal = journal && journal_ != nullptr;
   UserWeightWalRecord record;
-  if (journal) {
-    record.kind = UserWeightWalRecord::Kind::kObservationUpdate;
-    record.uid = uid;
-    record.model_version = state.model_version;
-    record.features = features;
-    record.label = label;
-  }
+  if (journal) record = ObservationRecord(uid, state, features, label);
   LogInOrder(record, journal, [&](Bootstrapper& boot) {
     if (solved.ok()) boot.OnUserUpdated(old_weights, state.weights);
   });
@@ -290,6 +300,49 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
   result.new_epoch = state.epoch;
   result.num_observations = state.num_observations;
   return result;
+}
+
+size_t UserWeightStore::ApplyObservationRun(uint64_t uid,
+                                            std::span<const LoggedExample> run) {
+  // A wrong-dimension example fails before touching anything, as in
+  // ApplyObservation, so one that leads the run creates no user.
+  size_t failed = 0;
+  while (failed < run.size() && run[failed].features->dim() != options_.dim) ++failed;
+  run = run.subspan(failed);
+  if (run.empty()) return failed;
+  Stripe& stripe = StripeFor(uid);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  auto it = stripe.users.find(uid);
+  std::optional<DenseVector> created;
+  if (it == stripe.users.end()) created = InitialWeights(uid, /*allow_recovery=*/true);
+  std::lock_guard<std::mutex> order(log_order_mu_);
+  if (created.has_value()) {
+    it = stripe.users.emplace(uid, MakeState(*created, 0)).first;
+    JournalAppend(SeedRecord(uid, 0, *created));
+    if (bootstrapper_ != nullptr) bootstrapper_->OnUserAdded(*created);
+  }
+  UserState& state = it->second;
+  thread_local DenseVector old_weights;
+  for (const LoggedExample& example : run) {
+    const DenseVector& features = *example.features;
+    if (features.dim() != options_.dim) {
+      ++failed;
+      continue;
+    }
+    old_weights = state.weights;
+    Status solved = UpdateState(state, features, example.label);
+    if (journal_ != nullptr) {
+      JournalAppend(ObservationRecord(uid, state, features, example.label));
+    }
+    if (!solved.ok()) {
+      ++failed;
+      continue;
+    }
+    if (bootstrapper_ != nullptr) bootstrapper_->OnUserUpdated(old_weights, state.weights);
+    ++state.num_observations;
+    ++state.epoch;
+  }
+  return failed;
 }
 
 double UserWeightStore::Uncertainty(uint64_t uid, const DenseVector& features) const {

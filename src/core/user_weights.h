@@ -119,6 +119,21 @@ class UserWeightStore {
   Result<UpdateResult> ApplyObservation(uint64_t uid, const DenseVector& features,
                                         double label);
 
+  // One logged (f, y) example of a replayed run.
+  struct LoggedExample {
+    const DenseVector* features;
+    double label;
+  };
+
+  // Applies `run` — one user's logged examples, in log order — exactly as
+  // that many ApplyObservation calls would: the same state, epochs and
+  // counts, one journal record and one bootstrapper update per example
+  // (and a seed first if the user is absent), in the same order. It
+  // holds the user's stripe lock and the log-order lock once for the
+  // whole run and builds no UpdateResult. Returns how many examples
+  // failed (each leaves the state as its failed ApplyObservation would).
+  size_t ApplyObservationRun(uint64_t uid, std::span<const LoggedExample> run);
+
   // LinUCB uncertainty sqrt(fᵀ(FᵀF+λI)^{-1}f). Exact under
   // kShermanMorrison; under the naive strategy falls back to the
   // count-based proxy 1/sqrt(1 + n_u) (the inverse is not maintained).
@@ -212,6 +227,18 @@ class UserWeightStore {
                                                 const DenseVector& features,
                                                 double label, bool journal,
                                                 bool allow_recovery);
+  // A created user's starting weights, as the predict path picks them:
+  // the recovery fallback (if allowed), else the bootstrap mean, else
+  // zero. Caller holds the user's stripe lock.
+  DenseVector InitialWeights(uint64_t uid, bool allow_recovery) const;
+  // Eq. 2's update of `state` by one example under the configured
+  // strategy. On failure (a naive solve that is not positive definite)
+  // the example stays absorbed and the weights keep their old value.
+  Status UpdateState(UserState& state, const DenseVector& features, double label) const;
+  // The journal record of one observation update.
+  static UserWeightWalRecord ObservationRecord(uint64_t uid, const UserState& state,
+                                               const DenseVector& features,
+                                               double label);
   // Appends to the attached journal if any; mutation proceeds even if
   // the append fails (serving availability over durability), matching
   // the observe path's degraded-mode policy.

@@ -164,11 +164,22 @@ Status VeloxServer::Bootstrap(const std::vector<Observation>& initial_data) {
   // Land the initial data in the observation log, placed by uid owner,
   // so future retrains include it; later logical timestamps must come
   // after the historical ones.
+  std::vector<Key> uids(initial_data.size());
   int64_t max_ts = 0;
-  for (const Observation& obs : initial_data) {
-    VELOX_ASSIGN_OR_RETURN(NodeId owner, storage_->OwnerOf(obs.uid));
-    storage_->observation_log(owner)->Append(obs);
-    max_ts = std::max(max_ts, obs.timestamp);
+  for (size_t i = 0; i < initial_data.size(); ++i) {
+    uids[i] = initial_data[i].uid;
+    max_ts = std::max(max_ts, initial_data[i].timestamp);
+  }
+  VELOX_ASSIGN_OR_RETURN(std::vector<NodeId> owners, storage_->OwnerOfEach(uids));
+  std::vector<std::vector<Observation>> per_node(static_cast<size_t>(config_.num_nodes));
+  std::vector<size_t> counts(per_node.size());
+  for (NodeId owner : owners) ++counts[static_cast<size_t>(owner)];
+  for (size_t n = 0; n < per_node.size(); ++n) per_node[n].reserve(counts[n]);
+  for (size_t i = 0; i < initial_data.size(); ++i) {
+    per_node[static_cast<size_t>(owners[i])].push_back(initial_data[i]);
+  }
+  for (size_t n = 0; n < per_node.size(); ++n) {
+    storage_->observation_log(static_cast<NodeId>(n))->AppendBatch(per_node[n]);
   }
   storage_->AdvanceTimestampTo(max_ts);
   VELOX_RETURN_NOT_OK(scheduler_->RetrainNow().status());

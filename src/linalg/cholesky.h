@@ -7,6 +7,7 @@
 #include <cstddef>
 
 #include "common/result.h"
+#include "linalg/kernel_isa.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
@@ -35,6 +36,19 @@ Result<DenseMatrix> SpdInverse(const DenseMatrix& a);
 // lower triangle.
 bool CholeskyFactorInPlace(double* a, size_t n);
 void CholeskySolveInPlace(const double* l, size_t n, double* b);
+
+// Factors and solves four independent n×n systems at once, one per
+// vector lane. `a` holds the four matrices interleaved by lane — entry
+// (i, j) of system k at a[(i * n + j) * 4 + k] — and `b` their
+// right-hand sides, entry i of system k at b[i * 4 + k]. Lane k runs
+// exactly CholeskyFactorInPlace then CholeskySolveInPlace on system k:
+// the same lower-triangle reads and the same IEEE operations in the
+// same order, so its solution is bit-identical to theirs. Returns a
+// mask whose bit k is set when system k is (numerically) positive
+// definite; lane k of `b` then holds its solution. A failing lane
+// leaves its own entries unspecified and changes no other lane.
+unsigned CholeskySolveLanes4(double* a, size_t n, double* b,
+                             KernelIsa isa = BestKernelIsa());
 
 }  // namespace velox
 

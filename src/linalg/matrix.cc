@@ -5,8 +5,100 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "linalg/scoring_kernels.h"
 
 namespace velox {
+
+namespace {
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+using kernel_detail::StoreV;
+using kernel_detail::Vec2d;
+using kernel_detail::Vec4d;
+
+// Rows r..r+width-1 of m, entry c: lane l holds m[(r + l)·cols + c].
+template <typename V>
+__attribute__((always_inline)) inline void GemvColumn(const double* p, size_t cols,
+                                                      V* column) {
+  if constexpr (sizeof(V) == 4 * sizeof(double)) {
+    *column = V{p[0], p[cols], p[2 * cols], p[3 * cols]};
+  } else {
+    *column = V{p[0], p[cols]};
+  }
+}
+
+// GemvRowsInto's body, one row per lane of V: Vec4d in the AVX2 clone,
+// Vec2d in the baseline build (which has no 4-wide registers). Two
+// vectors of rows share each pass over the columns, so two sums are in
+// flight.
+template <typename V>
+__attribute__((always_inline)) inline void GemvRowsBody(const double* m, size_t rows,
+                                                        size_t cols, const double* x,
+                                                        double* out) {
+  constexpr size_t kWidth = sizeof(V) / sizeof(double);
+  size_t r = 0;
+  for (; r + 2 * kWidth <= rows; r += 2 * kWidth) {
+    const double* p = m + r * cols;
+    V s0 = {};
+    V s1 = {};
+    for (size_t c = 0; c < cols; ++c, ++p) {
+      V c0, c1;
+      GemvColumn(p, cols, &c0);
+      GemvColumn(p + kWidth * cols, cols, &c1);
+      s0 += c0 * x[c];
+      s1 += c1 * x[c];
+    }
+    StoreV(out + r, s0);
+    StoreV(out + r + kWidth, s1);
+  }
+  for (; r + kWidth <= rows; r += kWidth) {
+    const double* p = m + r * cols;
+    V s = {};
+    for (size_t c = 0; c < cols; ++c, ++p) {
+      V column;
+      GemvColumn(p, cols, &column);
+      s += column * x[c];
+    }
+    StoreV(out + r, s);
+  }
+  for (; r < rows; ++r) {
+    const double* row = m + r * cols;
+    double s = 0.0;
+    for (size_t c = 0; c < cols; ++c) s += row[c] * x[c];
+    out[r] = s;
+  }
+}
+
+void GemvRowsPortable(const double* m, size_t rows, size_t cols, const double* x,
+                      double* out) {
+  GemvRowsBody<Vec2d>(m, rows, cols, x, out);
+}
+
+#ifdef VELOX_KERNELS_AVX2
+__attribute__((target("avx2"))) void GemvRowsAvx2(const double* m, size_t rows,
+                                                  size_t cols, const double* x,
+                                                  double* out) {
+  GemvRowsBody<Vec4d>(m, rows, cols, x, out);
+}
+#endif
+
+#pragma GCC diagnostic pop
+
+}  // namespace
+
+void GemvRowsInto(const double* m, size_t rows, size_t cols, const double* x,
+                  double* out, KernelIsa isa) {
+#ifdef VELOX_KERNELS_AVX2
+  if (isa == KernelIsa::kAvx2) {
+    GemvRowsAvx2(m, rows, cols, x, out);
+    return;
+  }
+#endif
+  (void)isa;
+  GemvRowsPortable(m, rows, cols, x, out);
+}
 
 DenseVector DenseMatrix::Row(size_t r) const {
   VELOX_CHECK_LT(r, rows_);
@@ -39,12 +131,7 @@ void DenseMatrix::AddDiagonal(double alpha) {
 DenseVector DenseMatrix::Gemv(const DenseVector& x) const {
   VELOX_CHECK_EQ(x.dim(), cols_);
   DenseVector out(rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double* row = RowPtr(r);
-    double s = 0.0;
-    for (size_t c = 0; c < cols_; ++c) s += row[c] * x[c];
-    out[r] = s;
-  }
+  GemvRowsInto(data_.data(), rows_, cols_, x.data(), out.data());
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "linalg/kernel_isa.h"
 #include "linalg/vector.h"
 
 namespace velox {
@@ -37,7 +38,7 @@ class DenseMatrix {
   // Adds alpha to each diagonal entry (must be square).
   void AddDiagonal(double alpha);
 
-  // out = this * x  (dims: rows x cols * cols -> rows).
+  // out = this * x  (dims: rows x cols * cols -> rows), by GemvRowsInto.
   DenseVector Gemv(const DenseVector& x) const;
   // out = this^T * x (dims: cols).
   DenseVector GemvTranspose(const DenseVector& x) const;
@@ -63,6 +64,13 @@ class DenseMatrix {
   size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+// out[r] = Σ_c m[r·cols + c]·x[c] for the row-major rows × cols `m`:
+// each row sums its products from +0.0 in column order (the plain
+// scalar loop's bits), four rows per vector, one row per lane, with the
+// kernels built for `isa`.
+void GemvRowsInto(const double* m, size_t rows, size_t cols, const double* x,
+                  double* out, KernelIsa isa = BestKernelIsa());
 
 // C = A * B.
 DenseMatrix MatMul(const DenseMatrix& a, const DenseMatrix& b);

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "linalg/kernel_isa.h"
+
 namespace velox {
 
 namespace {
@@ -26,8 +28,7 @@ namespace {
 // the same final scalar sum. The double kernel needs no restructuring:
 // its Vec4d accumulators lower directly to single 256-bit ops.
 // ---------------------------------------------------------------------------
-#if defined(__GNUC__) && defined(__x86_64__)
-#define VELOX_SCORING_AVX2 1
+#ifdef VELOX_KERNELS_AVX2
 
 typedef float Vec8f __attribute__((vector_size(32)));
 
@@ -147,19 +148,14 @@ __attribute__((target("avx2"))) void ScoreRowsFAvx2(const float* rows,
   }
 }
 
-inline bool CpuHasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-
-#endif  // __GNUC__ && __x86_64__
+#endif  // VELOX_KERNELS_AVX2
 
 }  // namespace
 
 void ScoreRows(const double* rows, size_t num_rows, size_t stride,
                const double* weights, size_t dim, double* out) {
-#ifdef VELOX_SCORING_AVX2
-  if (CpuHasAvx2()) {
+#ifdef VELOX_KERNELS_AVX2
+  if (BestKernelIsa() == KernelIsa::kAvx2) {
     ScoreRowsAvx2(rows, num_rows, stride, weights, dim, out);
     return;
   }
@@ -186,8 +182,8 @@ void ScoreRows(const double* rows, size_t num_rows, size_t stride,
 
 void ScoreRowsF(const float* rows, size_t num_rows, size_t stride,
                 const float* weights, size_t dim, float* out) {
-#ifdef VELOX_SCORING_AVX2
-  if (CpuHasAvx2()) {
+#ifdef VELOX_KERNELS_AVX2
+  if (BestKernelIsa() == KernelIsa::kAvx2) {
     ScoreRowsFAvx2(rows, num_rows, stride, weights, dim, out);
     return;
   }

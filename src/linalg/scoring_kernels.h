@@ -53,11 +53,30 @@ namespace kernel_detail {
 
 typedef double Vec4d __attribute__((vector_size(32)));
 typedef float Vec4f __attribute__((vector_size(16)));
+// Lane masks: a Vec4d comparison yields -1 (true) or 0 per lane.
+typedef long long Vec4m __attribute__((vector_size(32)));
 
 inline Vec4d Load4d(const double* p) {
   Vec4d v;
   std::memcpy(&v, p, sizeof(v));
   return v;
+}
+
+// The 2-wide double vector the baseline (SSE2) builds of the linalg
+// kernels use where GCC's lowering of Vec4d to register pairs falls
+// back to the stack; LoadV/StoreV move either width.
+typedef double Vec2d __attribute__((vector_size(16)));
+
+template <typename V>
+inline V LoadV(const double* p) {
+  V v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+template <typename V>
+inline void StoreV(double* p, V v) {
+  std::memcpy(p, &v, sizeof(v));
 }
 
 inline Vec4f Load4f(const float* p) {

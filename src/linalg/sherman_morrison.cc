@@ -41,12 +41,7 @@ void ShermanMorrisonSolver::AddExample(const DenseVector& features, double label
   VELOX_CHECK_EQ(features.dim(), d);
   // u = A^{-1} f  (A^{-1} is symmetric, so Gemv == GemvTranspose).
   DenseVector& u = scratch_;
-  for (size_t r = 0; r < d; ++r) {
-    const double* row = a_inv_.RowPtr(r);
-    double s = 0.0;
-    for (size_t c = 0; c < d; ++c) s += row[c] * features[c];
-    u[r] = s;
-  }
+  GemvRowsInto(a_inv_.RowPtr(0), d, d, features.data(), u.data());
   double denom = 1.0 + Dot(features, u);
   // denom = 1 + f^T A^{-1} f >= 1 for PD A^{-1}; guard regardless.
   VELOX_CHECK_GT(denom, 0.0);
@@ -64,14 +59,8 @@ DenseVector ShermanMorrisonSolver::Weights() const {
 }
 
 void ShermanMorrisonSolver::WeightsInto(double* out) const {
-  // DenseMatrix::Gemv's loop, so both entry points agree bit for bit.
-  const size_t d = dim();
-  for (size_t r = 0; r < d; ++r) {
-    const double* row = a_inv_.RowPtr(r);
-    double s = 0.0;
-    for (size_t c = 0; c < d; ++c) s += row[c] * b_[c];
-    out[r] = s;
-  }
+  // DenseMatrix::Gemv's kernel, so both entry points agree bit for bit.
+  GemvRowsInto(a_inv_.RowPtr(0), dim(), dim(), b_.data(), out);
 }
 
 double ShermanMorrisonSolver::Uncertainty(const DenseVector& features) const {

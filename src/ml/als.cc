@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "cluster/router.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "linalg/cholesky.h"
+#include "linalg/scoring_kernels.h"
 
 namespace velox {
 
@@ -54,6 +56,150 @@ RatingCsr GroupRatings(size_t rows, const std::vector<uint32_t>& row_of,
   return csr;
 }
 
+namespace {
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+using kernel_detail::LoadV;
+using kernel_detail::StoreV;
+using kernel_detail::Vec2d;
+using kernel_detail::Vec4d;
+
+// Row r's normal equations, in column blocks of one vector V (4 doubles
+// in the AVX2 build, 2 in the baseline one, which has no 4-wide
+// registers): `g` holds rank rows of `stride` (at least rank rounded up
+// to V's width) entries, of which row i's blocks up to column i are
+// written — its lower triangle plus entries past the diagonal, which
+// Cholesky never reads — and `x` holds Fᵀy. Per entry, the examples add
+// in CSR order exactly as the scalar RidgeAccumulator::AddExample does
+// (plain multiply then add). Its f[i] == 0 skip becomes a mask to +0.0,
+// a no-op on a sum that starts at +0.0 (such a sum is never -0.0).
+// Factor rows are read only up to `rank`: the last block's missing
+// entries are +0.0. kBlocks is the block count when fixed at compile
+// time (0: computed from `rank`), so common ranks unroll fully.
+template <typename V, size_t kBlocks>
+__attribute__((always_inline)) inline void AccumulateRowBody(const RatingCsr& csr,
+                                                             size_t r,
+                                                             const double* fixed,
+                                                             size_t rank, size_t stride,
+                                                             double* g, double* x) {
+  using Mask = decltype(V{} != V{});
+  constexpr size_t kWidth = sizeof(V) / sizeof(double);
+  const size_t blocks = kBlocks != 0 ? kBlocks : (rank + kWidth - 1) / kWidth;
+  const size_t last = (blocks - 1) * kWidth;  // first entry of the last block
+  for (size_t i = 0; i < rank; ++i) {
+    std::fill(g + i * stride, g + i * stride + (i / kWidth + 1) * kWidth, 0.0);
+  }
+  std::fill(x, x + blocks * kWidth, 0.0);
+  const uint32_t* other = csr.other.data();
+  const double* labels = csr.labels.data();
+  for (size_t e = csr.offsets[r]; e < csr.offsets[r + 1]; ++e) {
+    const double* f = fixed + static_cast<size_t>(other[e]) * rank;
+    V tail = {};
+    for (size_t l = 0; l < kWidth && last + l < rank; ++l) tail[l] = f[last + l];
+#pragma GCC unroll 4
+    for (size_t bi = 0; bi < blocks; ++bi) {
+#pragma GCC unroll 4
+      for (size_t k = 0; k < kWidth; ++k) {
+        const size_t i = bi * kWidth + k;
+        if (i >= rank) break;
+        const double fi = f[i];
+        const long long keep = fi != 0.0 ? -1 : 0;
+        double* gi = g + i * stride;
+#pragma GCC unroll 4
+        for (size_t bj = 0; bj <= bi; ++bj) {
+          const V fj = bj + 1 < blocks ? LoadV<V>(f + bj * kWidth) : tail;
+          StoreV(gi + bj * kWidth,
+                 LoadV<V>(gi + bj * kWidth) + (V)((Mask)(fi * fj) & keep));
+        }
+      }
+    }
+    const double y = labels[e];
+#pragma GCC unroll 4
+    for (size_t bj = 0; bj < blocks; ++bj) {
+      const V fj = bj + 1 < blocks ? LoadV<V>(f + bj * kWidth) : tail;
+      StoreV(x + bj * kWidth, LoadV<V>(x + bj * kWidth) + y * fj);
+    }
+  }
+}
+
+void AccumulateRowPortable(const RatingCsr& csr, size_t r, const double* fixed,
+                           size_t rank, size_t stride, double* g, double* x) {
+  AccumulateRowBody<Vec2d, 0>(csr, r, fixed, rank, stride, g, x);
+}
+
+#ifdef VELOX_KERNELS_AVX2
+__attribute__((target("avx2"))) void AccumulateRowAvx2(const RatingCsr& csr, size_t r,
+                                                       const double* fixed, size_t rank,
+                                                       size_t stride, double* g,
+                                                       double* x) {
+  switch ((rank + 3) / 4) {
+    case 1:
+      return AccumulateRowBody<Vec4d, 1>(csr, r, fixed, rank, stride, g, x);
+    case 2:
+      return AccumulateRowBody<Vec4d, 2>(csr, r, fixed, rank, stride, g, x);
+    case 3:
+      return AccumulateRowBody<Vec4d, 3>(csr, r, fixed, rank, stride, g, x);
+    case 4:
+      return AccumulateRowBody<Vec4d, 4>(csr, r, fixed, rank, stride, g, x);
+    default:
+      return AccumulateRowBody<Vec4d, 0>(csr, r, fixed, rank, stride, g, x);
+  }
+}
+#endif
+
+#pragma GCC diagnostic pop
+
+}  // namespace
+
+void SolveRidgeRowRange(const RatingCsr& csr, const double* fixed, size_t rank,
+                        double lambda, bool weighted_regularization, size_t lo,
+                        size_t hi, KernelIsa isa, double* out, uint8_t* solved) {
+  auto accumulate = AccumulateRowPortable;
+#ifdef VELOX_KERNELS_AVX2
+  if (isa == KernelIsa::kAvx2) accumulate = AccumulateRowAvx2;
+#endif
+  const size_t stride = (rank + 3) / 4 * 4;
+  std::vector<double> g(rank * stride);
+  std::vector<double> x(stride);
+  // Four rows' systems, interleaved by lane (CholeskySolveLanes4).
+  std::vector<double> a(rank * rank * 4);
+  std::vector<double> b(rank * 4);
+  for (size_t r0 = lo; r0 < hi; r0 += 4) {
+    const size_t lanes = std::min<size_t>(4, hi - r0);
+    for (size_t k = 0; k < 4; ++k) {
+      if (k >= lanes) {
+        // An idle lane solves I x = 0.
+        for (size_t i = 0; i < rank; ++i) {
+          for (size_t j = 0; j <= i; ++j) a[(i * rank + j) * 4 + k] = i == j ? 1.0 : 0.0;
+          b[i * 4 + k] = 0.0;
+        }
+        continue;
+      }
+      const size_t r = r0 + k;
+      accumulate(csr, r, fixed, rank, stride, g.data(), x.data());
+      const double reg =
+          weighted_regularization
+              ? lambda * static_cast<double>(csr.offsets[r + 1] - csr.offsets[r])
+              : lambda;
+      for (size_t i = 0; i < rank; ++i) {
+        for (size_t j = 0; j < i; ++j) a[(i * rank + j) * 4 + k] = g[i * stride + j];
+        a[(i * rank + i) * 4 + k] = g[i * stride + i] + reg;
+        b[i * 4 + k] = x[i];
+      }
+    }
+    const unsigned ok = CholeskySolveLanes4(a.data(), rank, b.data(), isa);
+    for (size_t k = 0; k < lanes; ++k) {
+      const bool row_ok = (ok >> k) & 1u;
+      solved[r0 + k] = row_ok ? 1 : 0;
+      if (!row_ok) continue;
+      double* row = out + (r0 + k) * rank;
+      for (size_t i = 0; i < rank; ++i) row[i] = b[i * 4 + k];
+    }
+  }
+}
+
 Status SolveRidgeRows(BatchExecutor* executor, const std::string& stage,
                       const RatingCsr& csr, const double* fixed, size_t rank,
                       double lambda, bool weighted_regularization, size_t num_tasks,
@@ -61,44 +207,29 @@ Status SolveRidgeRows(BatchExecutor* executor, const std::string& stage,
   const size_t rows = csr.rows();
   solved->assign(rows, 1);
   num_tasks = std::max<size_t>(1, std::min(num_tasks, rows));
+  // Task t starts at the first row whose ratings begin at or after
+  // t/num_tasks of the total, so tasks carry equal rating counts, not
+  // equal row counts; a row heavier than a share leaves tasks empty.
+  const size_t total = csr.offsets[rows];
+  const KernelIsa isa = BestKernelIsa();
   std::vector<std::function<void()>> tasks;
   tasks.reserve(num_tasks);
-  for (size_t t = 0; t < num_tasks; ++t) {
-    const size_t lo = rows * t / num_tasks;
-    const size_t hi = rows * (t + 1) / num_tasks;
-    tasks.push_back([&csr, fixed, rank, lambda, weighted_regularization, out, solved,
-                     lo, hi] {
-      std::vector<double> gram(rank * rank);
-      for (size_t r = lo; r < hi; ++r) {
-        std::fill(gram.begin(), gram.end(), 0.0);
-        double* x = out + r * rank;
-        std::fill(x, x + rank, 0.0);
-        const size_t begin = csr.offsets[r];
-        const size_t end = csr.offsets[r + 1];
-        for (size_t e = begin; e < end; ++e) {
-          const double* f = fixed + static_cast<size_t>(csr.other[e]) * rank;
-          // RidgeAccumulator::AddExample: FᵀF += f fᵀ (the Ger, zero
-          // rows skipped), Fᵀy += y f.
-          for (size_t i = 0; i < rank; ++i) {
-            const double fi = f[i];
-            if (fi == 0.0) continue;
-            double* g = gram.data() + i * rank;
-            for (size_t j = 0; j <= i; ++j) g[j] += fi * f[j];
-          }
-          const double y = csr.labels[e];
-          for (size_t i = 0; i < rank; ++i) x[i] += y * f[i];
-        }
-        const double reg = weighted_regularization
-                               ? lambda * static_cast<double>(end - begin)
-                               : lambda;
-        for (size_t i = 0; i < rank; ++i) gram[i * rank + i] += reg;
-        if (!CholeskyFactorInPlace(gram.data(), rank)) {
-          (*solved)[r] = 0;
-          continue;
-        }
-        CholeskySolveInPlace(gram.data(), rank, x);
-      }
+  size_t lo = 0;
+  for (size_t t = 1; t <= num_tasks; ++t) {
+    const size_t hi =
+        t == num_tasks
+            ? rows
+            : static_cast<size_t>(std::lower_bound(csr.offsets.begin() + lo,
+                                                   csr.offsets.begin() + rows,
+                                                   total * t / num_tasks) -
+                                  csr.offsets.begin());
+    if (hi == lo) continue;
+    tasks.push_back([&csr, fixed, rank, lambda, weighted_regularization, lo, hi, isa,
+                     out, solved] {
+      SolveRidgeRowRange(csr, fixed, rank, lambda, weighted_regularization, lo, hi, isa,
+                         out, solved->data());
     });
+    lo = hi;
   }
   return executor->RunStage(stage, std::move(tasks));
 }
@@ -147,7 +278,8 @@ Result<MfModel> AlsTrainer::Train(BatchExecutor* executor,
 
 Result<MfModel> AlsTrainer::TrainWarmStart(BatchExecutor* executor,
                                            const std::vector<Observation>& ratings,
-                                           const MfModel& init) const {
+                                           const MfModel& init,
+                                           double* train_rmse) const {
   if (executor == nullptr) return Status::InvalidArgument("executor is null");
   if (ratings.empty()) return Status::InvalidArgument("no training ratings");
   if (!init.user_factors.empty() && init.rank != config_.rank) {
@@ -209,6 +341,17 @@ Result<MfModel> AlsTrainer::TrainWarmStart(BatchExecutor* executor,
         config_.lambda, config_.weighted_regularization, config_.num_partitions,
         item_factors.data(), &solved));
     FallBackWhereUnsolved(solved, item_ids, config_, &item_factors);
+  }
+
+  if (train_rmse != nullptr) {
+    // MfTrainRmse's sum over the dense rows: every rated entity has one.
+    double sq = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      double e = labels[i] - DotKernel(user_factors.data() + user_row[i] * rank,
+                                       item_factors.data() + item_row[i] * rank, rank);
+      sq += e * e;
+    }
+    *train_rmse = std::sqrt(sq / static_cast<double>(n));
   }
 
   MfModel model;

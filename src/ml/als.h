@@ -19,6 +19,7 @@
 
 #include "batch/executor.h"
 #include "common/result.h"
+#include "linalg/kernel_isa.h"
 #include "linalg/vector.h"
 #include "storage/observation_log.h"
 
@@ -52,7 +53,7 @@ struct AlsConfig {
   // Sets the order in which each entity's ratings are accumulated —
   // that of a round-robin split into this many partitions regrouped by
   // key: source partition (rating index % num_partitions), then index —
-  // and the number of tasks in each half-step stage.
+  // and the most tasks each half-step stage splits into.
   size_t num_partitions = 8;
   // ALS-WR (Zhou et al. 2008): scale each entity's regularizer by its
   // rating count (λ · n_u), so heavily-rated entities are not
@@ -75,10 +76,13 @@ class AlsTrainer {
   // `init`'s user factors never reach the result, and the result holds
   // exactly the users and items that `ratings` names, each map filled
   // in the order `ratings` first names its entities (an install reseeds
-  // users in that order).
+  // users in that order). `train_rmse` (optional) receives
+  // MfTrainRmse(result, ratings), computed from the trainer's dense
+  // factor arrays with the same Dot in rating order.
   Result<MfModel> TrainWarmStart(BatchExecutor* executor,
                                  const std::vector<Observation>& ratings,
-                                 const MfModel& init) const;
+                                 const MfModel& init,
+                                 double* train_rmse = nullptr) const;
 
   const AlsConfig& config() const { return config_; }
 
@@ -112,14 +116,23 @@ RatingCsr GroupRatings(size_t rows, const std::vector<uint32_t>& row_of,
 // array, reg is λ, or λ·n under ALS-WR — and writes x to row r of `out`.
 // The arithmetic and its order are a RidgeAccumulator's fed the same
 // examples and solved, so the results are bit-identical to it; only the
-// Gram matrix's lower triangle, which Cholesky reads, is accumulated.
-// Rows split into `num_tasks` contiguous ranges that run as one stage.
+// Gram matrix's lower triangle, which Cholesky reads, is accumulated,
+// in 4-wide column blocks, and four rows' systems are solved together
+// by CholeskySolveLanes4. Rows split into at most `num_tasks`
+// contiguous ranges of about equal rating counts that run as one stage.
 // `solved[r]` is 0 where the system is not positive definite (row r of
 // `out` is then unspecified), 1 elsewhere.
 Status SolveRidgeRows(BatchExecutor* executor, const std::string& stage,
                       const RatingCsr& csr, const double* fixed, size_t rank,
                       double lambda, bool weighted_regularization, size_t num_tasks,
                       double* out, std::vector<uint8_t>* solved);
+
+// One task of SolveRidgeRows: rows [lo, hi) on the calling thread, with
+// the kernels built for `isa` (SolveRidgeRows passes BestKernelIsa()),
+// writing `out` and solved[lo..hi).
+void SolveRidgeRowRange(const RatingCsr& csr, const double* fixed, size_t rank,
+                        double lambda, bool weighted_regularization, size_t lo,
+                        size_t hi, KernelIsa isa, double* out, uint8_t* solved);
 
 // Training-set RMSE of `model` on `ratings` (unknown entities predicted
 // as 0).

@@ -29,6 +29,16 @@ uint64_t ObservationLog::Append(const Observation& obs) {
   return base_seq_ + log_.size() - 1;
 }
 
+void ObservationLog::AppendBatch(std::span<const Observation> batch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  log_.insert(log_.end(), batch.begin(), batch.end());
+}
+
+void ObservationLog::CopyTo(std::vector<Observation>* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  out->insert(out->end(), log_.begin(), log_.end());
+}
+
 std::vector<Observation> ObservationLog::ReadFrom(uint64_t from_seq) const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t start = std::max(from_seq, base_seq_);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -40,12 +41,16 @@ class ObservationLog {
 
   // Appends and returns the record's sequence number (0-based, dense).
   uint64_t Append(const Observation& obs);
+  // Appends `batch` in order under one lock acquisition.
+  void AppendBatch(std::span<const Observation> batch);
 
   // All records with sequence number in [from_seq, NextSeq()).
   std::vector<Observation> ReadFrom(uint64_t from_seq) const;
 
   // Records in [from_seq, to_seq).
   std::vector<Observation> ReadRange(uint64_t from_seq, uint64_t to_seq) const;
+  // Appends every retained record to `out`, in sequence order.
+  void CopyTo(std::vector<Observation>* out) const;
 
   // The sequence number the next Append will get.
   uint64_t NextSeq() const;

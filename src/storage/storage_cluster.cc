@@ -35,6 +35,19 @@ Result<NodeId> StorageCluster::OwnerOf(Key key) const {
   return router_.NodeForKey(key);
 }
 
+Result<std::vector<NodeId>> StorageCluster::OwnerOfEach(std::span<const Key> keys) const {
+  std::vector<NodeId> owners(keys.size());
+  std::lock_guard<std::mutex> lock(router_mu_);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0 && keys[i] == keys[i - 1]) {
+      owners[i] = owners[i - 1];
+      continue;
+    }
+    VELOX_ASSIGN_OR_RETURN(owners[i], router_.NodeForKey(keys[i]));
+  }
+  return owners;
+}
+
 Result<std::vector<NodeId>> StorageCluster::OwnersOf(Key key) const {
   std::lock_guard<std::mutex> lock(router_mu_);
   return router_.NodesForKey(key, replication_);
@@ -73,11 +86,16 @@ Status StorageCluster::CreateTable(const std::string& name) {
 }
 
 std::vector<Observation> StorageCluster::AllObservations() const {
+  std::vector<bool> alive(logs_.size());
+  size_t total = 0;
+  for (size_t n = 0; n < logs_.size(); ++n) {
+    alive[n] = IsAlive(static_cast<NodeId>(n));
+    if (alive[n]) total += logs_[n]->size();
+  }
   std::vector<Observation> out;
-  for (int32_t n = 0; n < num_nodes(); ++n) {
-    if (!IsAlive(n)) continue;
-    auto shard = logs_[static_cast<size_t>(n)]->ReadFrom(0);
-    out.insert(out.end(), shard.begin(), shard.end());
+  out.reserve(total);
+  for (size_t n = 0; n < logs_.size(); ++n) {
+    if (alive[n]) logs_[n]->CopyTo(&out);
   }
   return out;
 }

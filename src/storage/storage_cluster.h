@@ -13,6 +13,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -47,6 +48,10 @@ class StorageCluster {
 
   // Node owning `key` according to the ring (primary replica).
   Result<NodeId> OwnerOf(Key key) const;
+  // OwnerOf(keys[i]) for every i, under one router-lock acquisition; a
+  // key equal to its predecessor reuses its owner (a log groups each
+  // user's ratings).
+  Result<std::vector<NodeId>> OwnerOfEach(std::span<const Key> keys) const;
 
   // Replica list for `key`: primary first, then the next distinct alive
   // ring successors, up to the replication factor.
@@ -89,7 +94,8 @@ class StorageCluster {
   }
 
   // Reads every *alive* node's observation-log shard into one vector
-  // (offline retraining input). Order: by node, then by sequence.
+  // (offline retraining input), reserved up front and copied once per
+  // shard. Order: by node, then by sequence.
   std::vector<Observation> AllObservations() const;
 
   SimulatedNetwork* network() { return &network_; }

@@ -109,6 +109,68 @@ class PoisonedModel final : public VeloxModel {
   mutable int retrains_ = 0;
 };
 
+// Delegates to an inner MF model, answering ReadsWarmUserWeights as
+// told and recording how many warm user weights each retrain received.
+class WarmWeightsProbeModel final : public VeloxModel {
+ public:
+  WarmWeightsProbeModel(std::unique_ptr<VeloxModel> inner, bool reads_warm,
+                        std::vector<size_t>* received)
+      : inner_(std::move(inner)), reads_warm_(reads_warm), received_(received) {}
+
+  std::string name() const override { return inner_->name(); }
+  size_t dim() const override { return inner_->dim(); }
+  std::shared_ptr<const FeatureFunction> features() const override {
+    return inner_->features();
+  }
+  bool ReadsWarmUserWeights() const override { return reads_warm_; }
+
+  Result<RetrainOutput> Retrain(BatchExecutor* executor,
+                                const std::vector<Observation>& observations,
+                                const FactorMap& current_user_weights) const override {
+    received_->push_back(current_user_weights.size());
+    return inner_->Retrain(executor, observations, current_user_weights);
+  }
+
+ private:
+  std::unique_ptr<VeloxModel> inner_;
+  bool reads_warm_;
+  std::vector<size_t>* received_;
+};
+
+TEST(RetrainSchedulerTest, ModelsSayWhetherRetrainReadsWarmUserWeights) {
+  AlsConfig als;
+  als.rank = 4;
+  SgdConfig sgd;
+  sgd.rank = 4;
+  EXPECT_FALSE(MatrixFactorizationModel("als", als).ReadsWarmUserWeights());
+  EXPECT_TRUE(MatrixFactorizationModel("sgd", sgd).ReadsWarmUserWeights());
+  auto basis = std::make_shared<MaterializedFeatureFunction>(
+      std::make_shared<const FactorMap>(), 4);
+  auto catalog = std::make_shared<const std::unordered_map<uint64_t, Item>>();
+  EXPECT_FALSE(ComputationalModel("basis", basis, catalog, 0.1).ReadsWarmUserWeights());
+}
+
+TEST(RetrainSchedulerTest, FullRetrainExportsLiveWeightsOnlyForModelsThatReadThem) {
+  auto data = SmallData();
+  for (bool reads_warm : {false, true}) {
+    std::vector<size_t> received;
+    VeloxServer server(SmallServerConfig(),
+                       std::make_unique<WarmWeightsProbeModel>(SmallModel(), reads_warm,
+                                                               &received));
+    ASSERT_TRUE(server.Bootstrap(data.ratings).ok());
+    ASSERT_TRUE(server.RetrainNow().ok());
+    ASSERT_EQ(received.size(), 2u);
+    // The bootstrap train has no live users yet; the retrain sees every
+    // live user only when the model reads them.
+    EXPECT_EQ(received[0], 0u);
+    EXPECT_EQ(received[1], reads_warm ? server.user_weights(0)->num_users() : 0u)
+        << "reads_warm " << reads_warm;
+    if (reads_warm) {
+      EXPECT_GT(received[1], 0u);
+    }
+  }
+}
+
 TEST(RetrainSchedulerTest, RetrainWithoutObservationsFails) {
   VeloxServer server(SmallServerConfig(), SmallModel());
   EXPECT_TRUE(server.RetrainNow().status().IsFailedPrecondition());

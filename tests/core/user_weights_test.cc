@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
+#include "storage/snapshot.h"
 
 namespace velox {
 namespace {
@@ -335,6 +343,121 @@ TEST(UserWeightStoreTest, ConcurrentUpdatesToDistinctUsersAreConflictFree) {
     }
   }
 }
+
+// --- ApplyObservationRun: one entry per run, the bits of one per example ---
+
+struct ReplayOutcome {
+  std::vector<uint8_t> state;
+  DenseVector mean;
+  std::vector<uint8_t> wal;
+  size_t failed = 0;
+};
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+}
+
+class ObservationRunTest
+    : public ::testing::TestWithParam<std::tuple<UpdateStrategy, bool>> {
+ protected:
+  static constexpr size_t kDim = 4;
+
+  // A user-grouped log like an install replay's: runs for seeded and
+  // absent users, a wrong-dimension example leading one run and inside
+  // another, and (naive strategy only) a NaN example whose solve fails.
+  void SetUp() override {
+    Rng rng(17);
+    for (size_t i = 0; i < 60; ++i) {
+      DenseVector f(kDim);
+      for (size_t k = 0; k < kDim; ++k) f[k] = rng.Gaussian();
+      factors_.push_back(std::move(f));
+    }
+    wrong_dim_ = DenseVector(kDim + 1);
+    nan_ = DenseVector(kDim);
+    nan_[1] = std::numeric_limits<double>::quiet_NaN();
+    const bool naive = std::get<0>(GetParam()) == UpdateStrategy::kNaiveNormalEquations;
+    for (uint64_t uid : {3, 8, 8, 11, 5, 3, 20, 21}) {  // 8 and 3 recur as runs
+      const size_t length = 1 + rng.UniformU64(7);
+      for (size_t e = 0; e < length; ++e) {
+        const DenseVector* f = &factors_[rng.UniformU64(factors_.size())];
+        if (uid == 11 && e == 0) f = &wrong_dim_;
+        if (uid == 5 && e == 1) f = &wrong_dim_;
+        if (uid == 21 && e == 2 && naive) f = &nan_;
+        log_.push_back({uid, {f, rng.UniformDouble(1.0, 5.0)}});
+      }
+    }
+  }
+
+  // Seeds users 3, 5 and 8, then replays the log per example or per run.
+  ReplayOutcome Replay(bool runs, const std::string& name) {
+    ReplayOutcome outcome;
+    const std::string wal_path = ::testing::TempDir() + "/" + name + ".wal";
+    std::remove(wal_path.c_str());
+    {
+      std::unique_ptr<UserWeightJournal> journal;
+      if (std::get<1>(GetParam())) {
+        UserWeightJournalOptions jopts;
+        jopts.wal_path = wal_path;
+        auto opened = UserWeightJournal::Open(jopts);
+        EXPECT_TRUE(opened.ok());
+        journal = std::move(opened).value();
+      }
+      Bootstrapper boot(kDim);
+      UserWeightStore store(Opts(std::get<0>(GetParam()), kDim), &boot);
+      if (journal != nullptr) store.AttachJournal(journal.get());
+      for (uint64_t uid : {3, 5, 8}) store.SeedUser(uid, factors_[uid], 1);
+      if (runs) {
+        std::vector<UserWeightStore::LoggedExample> examples;
+        for (const auto& [uid, example] : log_) examples.push_back(example);
+        for (size_t begin = 0, end = 0; begin < log_.size(); begin = end) {
+          end = begin + 1;
+          while (end < log_.size() && log_[end].first == log_[begin].first) ++end;
+          outcome.failed += store.ApplyObservationRun(
+              log_[begin].first,
+              std::span<const UserWeightStore::LoggedExample>(examples)
+                  .subspan(begin, end - begin));
+        }
+      } else {
+        for (const auto& [uid, example] : log_) {
+          if (!store.ApplyObservation(uid, *example.features, example.label).ok()) {
+            ++outcome.failed;
+          }
+        }
+      }
+      outcome.state = store.SerializeState();
+      outcome.mean = boot.MeanWeights();
+    }
+    if (std::get<1>(GetParam())) outcome.wal = ReadFileBytes(wal_path);
+    return outcome;
+  }
+
+  std::vector<DenseVector> factors_;
+  DenseVector wrong_dim_;
+  DenseVector nan_;
+  std::vector<std::pair<uint64_t, UserWeightStore::LoggedExample>> log_;
+};
+
+TEST_P(ObservationRunTest, RunsEqualPerObservationApplies) {
+  const ReplayOutcome each = Replay(/*runs=*/false, "per_observation");
+  const ReplayOutcome runs = Replay(/*runs=*/true, "per_run");
+  EXPECT_GE(each.failed, 2u);
+  EXPECT_EQ(runs.failed, each.failed);
+  EXPECT_EQ(runs.state, each.state);
+  ASSERT_EQ(runs.mean.dim(), each.mean.dim());
+  EXPECT_EQ(std::memcmp(runs.mean.data(), each.mean.data(), kDim * sizeof(double)), 0);
+  EXPECT_EQ(runs.wal, each.wal);
+  if (std::get<1>(GetParam())) {
+    EXPECT_GT(each.wal.size(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StrategiesAndJournal, ObservationRunTest,
+    ::testing::Combine(::testing::Values(UpdateStrategy::kShermanMorrison,
+                                         UpdateStrategy::kNaiveNormalEquations),
+                       ::testing::Bool()));
 
 TEST(UpdateStrategyNameTest, Names) {
   EXPECT_STREQ(UpdateStrategyName(UpdateStrategy::kNaiveNormalEquations),

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <tuple>
+#include <vector>
+
 #include "common/random.h"
 
 namespace velox {
@@ -129,6 +135,140 @@ TEST_P(CholeskySizeTest, ResidualTinyAcrossSizes) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskySizeTest,
                          ::testing::Values(1, 2, 3, 5, 10, 25, 50, 100));
+
+// --- CholeskySolveLanes4: four systems per vector, bit for bit ---
+
+// The scalar kernels' loops (CholeskyFactorInPlace, then
+// CholeskySolveInPlace), kept here as the reference each lane must
+// reproduce. Returns false where the factorization fails.
+bool ReferenceFactorSolve(std::vector<double> a, size_t n, std::vector<double>* b) {
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      double sum = a[i * n + j];
+      for (size_t k = 0; k < j; ++k) sum -= a[i * n + k] * a[j * n + k];
+      if (i == j) {
+        if (sum <= 0.0 || !std::isfinite(sum)) return false;
+        a[i * n + i] = std::sqrt(sum);
+      } else {
+        a[i * n + j] = sum / a[j * n + j];
+      }
+    }
+  }
+  std::vector<double>& x = *b;
+  for (size_t i = 0; i < n; ++i) {
+    double sum = x[i];
+    for (size_t k = 0; k < i; ++k) sum -= a[i * n + k] * x[k];
+    x[i] = sum / a[i * n + i];
+  }
+  for (size_t ii = n; ii-- > 0;) {
+    double sum = x[ii];
+    for (size_t k = ii + 1; k < n; ++k) sum -= a[k * n + ii] * x[k];
+    x[ii] = sum / a[ii * n + ii];
+  }
+  return true;
+}
+
+struct System {
+  std::vector<double> a;  // n×n row-major
+  std::vector<double> b;
+};
+
+// A random SPD system whose strict upper triangle is NaN: the kernels
+// must never read it.
+System RandomSystem(size_t n, uint64_t seed) {
+  DenseMatrix spd = RandomSpd(n, seed);
+  Rng rng(seed + 1);
+  System s{std::vector<double>(n * n), std::vector<double>(n)};
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      s.a[i * n + j] = j <= i ? spd.At(i, j) : std::numeric_limits<double>::quiet_NaN();
+    }
+    s.b[i] = rng.Gaussian();
+  }
+  return s;
+}
+
+bool BitEqual(double x, double y) { return std::memcmp(&x, &y, sizeof(double)) == 0; }
+
+class CholeskyLanesTest
+    : public ::testing::TestWithParam<std::tuple<size_t, KernelIsa>> {
+ protected:
+  void SetUp() override {
+    if (std::get<1>(GetParam()) == KernelIsa::kAvx2 &&
+        BestKernelIsa() != KernelIsa::kAvx2) {
+      GTEST_SKIP() << "CPU has no AVX2";
+    }
+  }
+
+  size_t n() const { return std::get<0>(GetParam()); }
+
+  // Runs the lane kernel on `systems` and each through the reference;
+  // the ok mask and every solved lane's solution must match exactly.
+  void ExpectLanesMatchReference(const std::vector<System>& systems,
+                                 unsigned expected_mask) {
+    const size_t n = this->n();
+    std::vector<double> a(n * n * 4);
+    std::vector<double> b(n * 4);
+    for (size_t k = 0; k < 4; ++k) {
+      for (size_t e = 0; e < n * n; ++e) a[e * 4 + k] = systems[k].a[e];
+      for (size_t i = 0; i < n; ++i) b[i * 4 + k] = systems[k].b[i];
+    }
+    const unsigned mask = CholeskySolveLanes4(a.data(), n, b.data(), std::get<1>(GetParam()));
+    EXPECT_EQ(mask, expected_mask);
+    for (size_t k = 0; k < 4; ++k) {
+      std::vector<double> x = systems[k].b;
+      const bool ok = ReferenceFactorSolve(systems[k].a, n, &x);
+      ASSERT_EQ(((mask >> k) & 1u) != 0, ok) << "lane " << k;
+      if (!ok) continue;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(BitEqual(b[i * 4 + k], x[i]))
+            << "lane " << k << " entry " << i << ": " << b[i * 4 + k] << " vs " << x[i];
+      }
+    }
+  }
+};
+
+TEST_P(CholeskyLanesTest, FourRandomSystemsMatchTheScalarLoops) {
+  ExpectLanesMatchReference({RandomSystem(n(), 41), RandomSystem(n(), 43),
+                             RandomSystem(n(), 47), RandomSystem(n(), 53)},
+                            0xF);
+}
+
+TEST_P(CholeskyLanesTest, NotPositiveDefiniteLaneFailsAlone) {
+  // Lane 2's last pivot goes negative; its neighbours still solve.
+  System bad = RandomSystem(n(), 59);
+  bad.a[(n() - 1) * n() + (n() - 1)] = -1e6;
+  ExpectLanesMatchReference(
+      {RandomSystem(n(), 61), RandomSystem(n(), 67), bad, RandomSystem(n(), 71)},
+      0xB);
+}
+
+TEST_P(CholeskyLanesTest, SignedZerosInfinitiesAndNaNStayInTheirLanes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const size_t n = this->n();
+  // Lane 0: a diagonal system with ±0 off the diagonal and in b.
+  System zeros = RandomSystem(n, 73);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j) zeros.a[i * n + j] = (i + j) % 2 == 0 ? 0.0 : -0.0;
+    zeros.a[i * n + i] = 1.0 + static_cast<double>(i);
+    zeros.b[i] = i % 2 == 0 ? -0.0 : 0.0;
+  }
+  // Lane 1: +inf on the last row; lane 3: NaN there; lane 2: a -0.0
+  // pivot (sum <= 0 fails) for rank 1, -inf elsewhere.
+  System with_inf = RandomSystem(n, 79);
+  with_inf.a[(n - 1) * n] = inf;
+  System with_nan = RandomSystem(n, 83);
+  with_nan.a[(n - 1) * n + (n - 1)] = nan;
+  System negative = RandomSystem(n, 89);
+  negative.a[(n - 1) * n] = n == 1 ? -0.0 : -inf;
+  ExpectLanesMatchReference({zeros, with_inf, negative, with_nan}, 0x1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndBuilds, CholeskyLanesTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{3}, size_t{10}, size_t{17}),
+                       ::testing::Values(KernelIsa::kPortable, KernelIsa::kAvx2)));
 
 }  // namespace
 }  // namespace velox

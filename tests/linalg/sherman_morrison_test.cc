@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/random.h"
 #include "linalg/cholesky.h"
@@ -175,6 +178,89 @@ TEST(ShermanMorrisonTest, PriorMeanMakesWeightsStartThere) {
   auto truth = acc.SolveWithPrior(0.7, prior);
   ASSERT_TRUE(truth.ok());
   EXPECT_LT(MaxAbsDiff(sm.Weights(), truth.value()), 1e-9);
+}
+
+// --- The four-rows-per-vector products against the scalar loops ---
+
+// out[r] = Σ_c m[r][c]·x[c], summed from +0.0 in column order: the
+// loop the solver's two matrix–vector products used to run.
+std::vector<double> ScalarGemv(const std::vector<double>& m, size_t rows, size_t cols,
+                               const std::vector<double>& x) {
+  std::vector<double> out(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    double s = 0.0;
+    for (size_t c = 0; c < cols; ++c) s += m[r * cols + c] * x[c];
+    out[r] = s;
+  }
+  return out;
+}
+
+bool BitEqual(const std::vector<double>& a, const double* b) {
+  return std::memcmp(a.data(), b, a.size() * sizeof(double)) == 0;
+}
+
+TEST(GemvRowsTest, EachBuildMatchesTheScalarLoopBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(11);
+  for (size_t rows : {1, 3, 4, 5, 8, 10, 17}) {
+    for (size_t cols : {1, 3, 10, 17}) {
+      std::vector<double> m(rows * cols);
+      std::vector<double> x(cols);
+      for (double& v : m) v = rng.Gaussian();
+      for (double& v : x) v = rng.Gaussian();
+      // Signed zeros everywhere in row 0 (whose sum must stay +0.0 or
+      // -0.0 exactly as the scalar loop leaves it), an infinity in the
+      // last row and a NaN in x for the widest case.
+      for (size_t c = 0; c < cols; ++c) m[c] = c % 2 == 0 ? -0.0 : 0.0;
+      m[(rows - 1) * cols] = rows > 1 ? inf : m[(rows - 1) * cols];
+      if (cols == 17) x[16] = std::numeric_limits<double>::quiet_NaN();
+      const std::vector<double> expected = ScalarGemv(m, rows, cols, x);
+      for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2}) {
+        if (isa == KernelIsa::kAvx2 && BestKernelIsa() != KernelIsa::kAvx2) continue;
+        std::vector<double> out(rows, 7.0);
+        GemvRowsInto(m.data(), rows, cols, x.data(), out.data(), isa);
+        EXPECT_TRUE(BitEqual(expected, out.data())) << rows << "x" << cols;
+      }
+    }
+  }
+}
+
+TEST(ShermanMorrisonTest, VectorProductsMatchTheScalarLoopsBitForBit) {
+  // A scalar Sherman–Morrison alongside the solver: u = A⁻¹f and
+  // w = A⁻¹b by the scalar loop, the same update arithmetic otherwise.
+  for (size_t d : {1, 3, 10, 17}) {
+    const double lambda = 0.4;
+    ShermanMorrisonSolver sm(d, lambda);
+    std::vector<double> a_inv(d * d, 0.0);
+    for (size_t i = 0; i < d; ++i) a_inv[i * d + i] = 1.0 / lambda;
+    std::vector<double> b(d, 0.0);
+    Rng rng(d);
+    for (int step = 0; step < 25; ++step) {
+      DenseVector f(d);
+      for (size_t i = 0; i < d; ++i) f[i] = step % 5 == 0 && i % 2 == 1 ? -0.0 : rng.Gaussian();
+      const double y = rng.Gaussian();
+      sm.AddExample(f, y);
+
+      const std::vector<double> u = ScalarGemv(a_inv, d, d, f.values());
+      double quad = 0.0;
+      {
+        DenseVector uv(u);
+        quad = Dot(f, uv);
+      }
+      const double alpha = -1.0 / (1.0 + quad);
+      for (size_t r = 0; r < d; ++r) {
+        const double ax = alpha * u[r];
+        if (ax == 0.0) continue;
+        for (size_t c = 0; c < d; ++c) a_inv[r * d + c] += ax * u[c];
+      }
+      for (size_t i = 0; i < d; ++i) b[i] += y * f[i];
+
+      ASSERT_TRUE(BitEqual(a_inv, sm.a_inverse().RowPtr(0))) << "d " << d;
+      DenseVector w(d);
+      sm.WeightsInto(w.data());
+      ASSERT_TRUE(BitEqual(ScalarGemv(a_inv, d, d, b), w.data())) << "d " << d;
+    }
+  }
 }
 
 TEST(ShermanMorrisonDeathTest, PriorAfterDataAborts) {

@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "batch/dataset.h"
 #include "batch/executor.h"
 #include "common/random.h"
+#include "linalg/cholesky.h"
 #include "linalg/ridge.h"
 
 namespace velox {
@@ -410,6 +412,152 @@ INSTANTIATE_TEST_SUITE_P(PartitionsAndRegularization, AlsPinTest,
                          ::testing::Combine(::testing::Values(size_t{1}, size_t{3},
                                                               size_t{8}),
                                             ::testing::Bool()));
+
+// --- SolveRidgeRows: the vector kernels against the scalar loop ---
+
+// The half-step as a scalar loop per row — RidgeAccumulator::AddExample's
+// arithmetic on the Gram matrix's lower triangle (zero f[i] skipped),
+// then the in-place Cholesky — kept here as the reference the blocked
+// accumulation and the lane solve must reproduce bit for bit.
+void ReferenceSolveRows(const RatingCsr& csr, const std::vector<double>& fixed,
+                        size_t rank, double lambda, bool weighted_regularization,
+                        std::vector<double>* out, std::vector<uint8_t>* solved) {
+  out->assign(csr.rows() * rank, 0.0);
+  solved->assign(csr.rows(), 1);
+  std::vector<double> gram(rank * rank);
+  for (size_t r = 0; r < csr.rows(); ++r) {
+    std::fill(gram.begin(), gram.end(), 0.0);
+    double* x = out->data() + r * rank;
+    for (size_t e = csr.offsets[r]; e < csr.offsets[r + 1]; ++e) {
+      const double* f = fixed.data() + static_cast<size_t>(csr.other[e]) * rank;
+      for (size_t i = 0; i < rank; ++i) {
+        const double fi = f[i];
+        if (fi == 0.0) continue;
+        for (size_t j = 0; j <= i; ++j) gram[i * rank + j] += fi * f[j];
+      }
+      for (size_t i = 0; i < rank; ++i) x[i] += csr.labels[e] * f[i];
+    }
+    const size_t count = csr.offsets[r + 1] - csr.offsets[r];
+    const double reg =
+        weighted_regularization ? lambda * static_cast<double>(count) : lambda;
+    for (size_t i = 0; i < rank; ++i) gram[i * rank + i] += reg;
+    if (!CholeskyFactorInPlace(gram.data(), rank)) {
+      (*solved)[r] = 0;
+      continue;
+    }
+    CholeskySolveInPlace(gram.data(), rank, x);
+  }
+}
+
+// Fixed-side factors: Gaussian rows, then special rows — all +0.0, -0.0
+// entries, and one row each holding +inf, -inf and NaN.
+constexpr size_t kFixedRows = 40;
+constexpr uint32_t kZeroRow = 35, kNegZeroRow = 36, kInfRow = 37, kNegInfRow = 38,
+                   kNanRow = 39;
+
+std::vector<double> FixedFactors(size_t rank) {
+  Rng rng(rank * 7 + 1);
+  std::vector<double> fixed(kFixedRows * rank);
+  for (double& v : fixed) v = rng.Gaussian();
+  for (size_t i = 0; i < rank; ++i) {
+    fixed[kZeroRow * rank + i] = 0.0;
+    fixed[kNegZeroRow * rank + i] = i % 2 == 0 ? -0.0 : fixed[kNegZeroRow * rank + i];
+  }
+  fixed[kInfRow * rank + rank / 2] = std::numeric_limits<double>::infinity();
+  fixed[kNegInfRow * rank] = -std::numeric_limits<double>::infinity();
+  fixed[kNanRow * rank + rank - 1] = std::numeric_limits<double>::quiet_NaN();
+  return fixed;
+}
+
+// Row 0 holds over half the ratings; then 41 light rows of 1–6 ratings,
+// some against the special factor rows; the last row has none.
+RatingCsr SkewedCsr() {
+  Rng rng(5);
+  RatingCsr csr;
+  auto add = [&](uint32_t other) {
+    csr.other.push_back(other);
+    csr.labels.push_back(rng.UniformDouble(1.0, 5.0));
+  };
+  for (int e = 0; e < 400; ++e) add(static_cast<uint32_t>(rng.UniformU64(kZeroRow)));
+  csr.offsets.push_back(csr.other.size());
+  const uint32_t special[] = {kZeroRow, kNegZeroRow, kInfRow, kNegInfRow, kNanRow};
+  for (uint32_t r = 1; r <= 41; ++r) {
+    const size_t count = 1 + r % 6;
+    for (size_t e = 0; e < count; ++e) {
+      add(e == 0 && r % 4 == 0 ? special[(r / 4) % 5]
+                               : static_cast<uint32_t>(rng.UniformU64(kZeroRow)));
+    }
+    csr.offsets.push_back(csr.other.size());
+  }
+  csr.offsets.push_back(csr.other.size());  // an empty last row
+  return csr;
+}
+
+class SolveRidgeRowsTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  // Solved flags equal; every solved row's factor equal bit for bit.
+  static void ExpectSameSolution(const std::vector<double>& out,
+                                 const std::vector<uint8_t>& solved,
+                                 const std::vector<double>& ref_out,
+                                 const std::vector<uint8_t>& ref_solved, size_t rank) {
+    ASSERT_EQ(solved, ref_solved);
+    for (size_t r = 0; r < solved.size(); ++r) {
+      if (solved[r] == 0) continue;
+      EXPECT_EQ(std::memcmp(out.data() + r * rank, ref_out.data() + r * rank,
+                            rank * sizeof(double)),
+                0)
+          << "row " << r;
+    }
+  }
+  BatchExecutor executor_{2};
+};
+
+TEST_P(SolveRidgeRowsTest, EachBuildMatchesTheScalarLoop) {
+  const size_t rank = GetParam();
+  const RatingCsr csr = SkewedCsr();
+  const std::vector<double> fixed = FixedFactors(rank);
+  for (bool weighted : {false, true}) {
+    std::vector<double> ref_out;
+    std::vector<uint8_t> ref_solved;
+    ReferenceSolveRows(csr, fixed, rank, 0.3, weighted, &ref_out, &ref_solved);
+    // The special factor rows sink some systems; the rest solve.
+    ASSERT_GT(std::count(ref_solved.begin(), ref_solved.end(), 0), 0);
+    ASSERT_GT(std::count(ref_solved.begin(), ref_solved.end(), 1), 30);
+    for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2}) {
+      if (isa == KernelIsa::kAvx2 && BestKernelIsa() != KernelIsa::kAvx2) continue;
+      std::vector<double> out(csr.rows() * rank);
+      std::vector<uint8_t> solved(csr.rows(), 7);
+      SolveRidgeRowRange(csr, fixed.data(), rank, 0.3, weighted, 0, csr.rows(), isa,
+                         out.data(), solved.data());
+      ExpectSameSolution(out, solved, ref_out, ref_solved, rank);
+    }
+  }
+}
+
+TEST_P(SolveRidgeRowsTest, RatingBalancedTasksMatchTheScalarLoop) {
+  const size_t rank = GetParam();
+  const RatingCsr csr = SkewedCsr();
+  const std::vector<double> fixed = FixedFactors(rank);
+  std::vector<double> ref_out;
+  std::vector<uint8_t> ref_solved;
+  ReferenceSolveRows(csr, fixed, rank, 0.3, false, &ref_out, &ref_solved);
+  for (size_t tasks : {1, 2, 8}) {
+    std::vector<double> out(csr.rows() * rank);
+    std::vector<uint8_t> solved;
+    ASSERT_TRUE(SolveRidgeRows(&executor_, "pin", csr, fixed.data(), rank, 0.3, false,
+                               tasks, out.data(), &solved)
+                    .ok());
+    ExpectSameSolution(out, solved, ref_out, ref_solved, rank);
+    // Row 0 (400 of 546 ratings) makes the first task alone; with 8
+    // tasks it spans the first five shares, so four tasks stay empty
+    // and are left out of the stage.
+    const std::vector<StageInfo> history = executor_.stage_history();
+    EXPECT_EQ(history.back().num_tasks, tasks == 8 ? 4u : tasks) << tasks << " tasks";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, SolveRidgeRowsTest,
+                         ::testing::Values(size_t{1}, size_t{3}, size_t{10}, size_t{17}));
 
 TEST(MfModelTest, PredictOrFallsBackForUnknowns) {
   MfModel model;

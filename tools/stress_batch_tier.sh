@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Stress loop for timing races that only an optimized build opens:
 # runs the suites that drive real ALS retrains and install replays
-# through ParallelFor (retrain_scheduler_test, failover_test), the
-# nearline refresh's half-step stage (incremental_trainer_test) and the
+# through ParallelFor (retrain_scheduler_test, failover_test), the ALS
+# half-step stages on their own (als_test), the nearline refresh's
+# half-step stage (incremental_trainer_test) and the
 # journal's concurrent observers (durability_test: the bootstrapper's
 # running sum must replay bit for bit, and each cadence crossing must
 # take one snapshot) back to back in 4 parallel loops for a fixed
@@ -14,7 +15,7 @@
 #
 # Usage: tools/stress_batch_tier.sh <build-dir> <seconds>
 #   e.g. cmake --build build -j --target retrain_scheduler_test failover_test \
-#          durability_test incremental_trainer_test
+#          durability_test incremental_trainer_test als_test
 #        tools/stress_batch_tier.sh build 60
 set -u
 
@@ -26,7 +27,8 @@ build=$(cd "$1" && pwd) || exit 2
 seconds=$2
 loops=4
 per_run_limit=20
-suites=(retrain_scheduler_test failover_test durability_test incremental_trainer_test)
+suites=(retrain_scheduler_test failover_test durability_test incremental_trainer_test
+        als_test)
 
 for s in "${suites[@]}"; do
   if [[ ! -x "$build/tests/$s" ]]; then
